@@ -10,12 +10,6 @@ simulation of these protocols is *fast*, not just feasible.  Two sweeps
   only observed grade bands, so cost stays linear in κ.
 * n-sweep at κ = 8: message count is Θ(κ n²), so wall-time grows
   quadratically in n; n = 31 (t = 10) completes comfortably.
-
-Plus the hot-path ledger: SCALE (c) times the same workload on the
-pre-optimization metrics/crypto path (reference signature walk per
-message, tag memoization off) vs the current one, recording the measured
-speedup from the ``count_signatures``/verify caching of this engine's
-introduction.
 """
 
 from __future__ import annotations
@@ -25,7 +19,6 @@ import time
 import pytest
 
 from repro.analysis.report import format_table
-from repro.crypto.ideal import set_tag_memoization
 from repro.engine import TrialSpec, run_trial
 
 
@@ -41,9 +34,9 @@ def _spec(n, t, kappa, session, collect_signatures=True):
     )
 
 
-def _run_once(n, t, kappa, session, legacy_metrics=False):
+def _run_once(n, t, kappa, session):
     started = time.perf_counter()
-    res = run_trial(_spec(n, t, kappa, session), legacy_metrics=legacy_metrics)
+    res = run_trial(_spec(n, t, kappa, session))
     elapsed = time.perf_counter() - started
     assert res.honest_agree()
     return elapsed, res.metrics
@@ -81,47 +74,3 @@ def test_n_scaling(benchmark, report_sink):
     )
     benchmark(lambda: _run_once(10, 3, 8, "snb"))
 
-
-def test_hot_path_caching_speedup(benchmark, report_sink):
-    """The count_signatures/verify caching must beat the legacy path.
-
-    Times repeated n=10 runs on the pre-optimization path (reference
-    per-message signature walk, tag memoization disabled) vs the current
-    cached path — same seeds, same executions, identical metrics — and
-    records the measured ratio.  The assertion is deliberately loose
-    (> 1.05x) to stay robust on noisy CI machines; locally the ratio is
-    ~2x (see BENCH_engine.json for the error-sweep figure).
-    """
-    repeats = 12
-
-    def timed(legacy):
-        started = time.perf_counter()
-        for i in range(repeats):
-            run_trial(_spec(10, 3, 8, f"hc{i}"), legacy_metrics=legacy)
-        return time.perf_counter() - started
-
-    timed(legacy=False)  # warm suite cache / allocator
-    cached_elapsed = timed(legacy=False)
-    previous = set_tag_memoization(False)
-    try:
-        legacy_elapsed = timed(legacy=True)
-    finally:
-        set_tag_memoization(previous)
-
-    # Same executions, same tallies — caching must not change results.
-    fresh = run_trial(_spec(10, 3, 8, "hceq"))
-    previous = set_tag_memoization(False)
-    try:
-        reference = run_trial(_spec(10, 3, 8, "hceq"), legacy_metrics=True)
-    finally:
-        set_tag_memoization(previous)
-    assert fresh == reference
-
-    ratio = legacy_elapsed / cached_elapsed
-    assert ratio > 1.05, (legacy_elapsed, cached_elapsed)
-    report_sink.append(
-        "SCALE (c)  hot-path caching (n=10, kappa=8, "
-        f"{repeats} runs): legacy {legacy_elapsed * 1e3:.0f}ms -> "
-        f"cached {cached_elapsed * 1e3:.0f}ms ({ratio:.2f}x)"
-    )
-    benchmark(lambda: run_trial(_spec(10, 3, 8, "hcb")))

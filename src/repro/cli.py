@@ -22,8 +22,8 @@ Subcommands
 ``bench``
     The same sweep through the parallel experiment engine: runs it
     serially and with ``--workers`` processes, checks the two are
-    bit-identical, reports wall times (optionally vs the pre-optimization
-    baseline) and writes a machine-readable ``BENCH_engine.json``.
+    bit-identical, reports wall times and writes a machine-readable
+    ``BENCH_engine.json``.
     ``--adaptive`` adds the early-stopping leg: the sweep re-run under
     :class:`repro.engine.AdaptiveRunner` with a total budget equal to the
     fixed run, verdict-checked against it config for config.
@@ -77,7 +77,7 @@ from .adversary.strategies import (
     MalformedAdversary,
     TwoFaceAdversary,
 )
-from .analysis.experiments import ExperimentSetup, disagreement_rate, run_trials
+from .analysis.experiments import disagreement_rate
 from .analysis.report import format_table
 from .analysis.tables import render_fig3, render_table1, render_table2
 from .analysis.theory import rounds_for_error
@@ -390,24 +390,14 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_error_sweep(args: argparse.Namespace) -> int:
-    if args.protocol == "one_third":
-        setup = ExperimentSetup(num_parties=4, max_faulty=1)
-        inputs = [0, 0, 1, 1]
-        adversary_factory = lambda: OneThirdStraddleAdversary([3])
-        program = ba_one_third_program
-    else:
-        setup = ExperimentSetup(num_parties=5, max_faulty=2)
-        inputs = [0, 0, 1, 1, 1]
-        adversary_factory = lambda: LinearHalfStraddleAdversary([3, 4])
-        program = ba_one_half_program
+    from .engine import ParallelRunner
+
+    plan = _build_sweep_plan(args)
+    results = ParallelRunner(workers=1).run(plan).results
     rows = []
-    for kappa in args.kappas:
-        factory = lambda c, b, k=kappa: program(c, b, k)
+    for at, kappa in enumerate(args.kappas):
         rate = disagreement_rate(
-            run_trials(
-                setup, factory, inputs, trials=args.trials,
-                adversary_factory=adversary_factory, seed=args.seed + kappa,
-            )
+            results[at * args.trials : (at + 1) * args.trials]
         )
         rows.append([kappa, f"{2.0 ** -kappa:.4f}", f"{rate:.4f}"])
     print(
@@ -424,7 +414,7 @@ def _build_sweep_plan(
     kappas: Optional[List[int]] = None,
     collect_signatures: bool = False,
 ):
-    """The error-probability sweep as one engine plan (see `bench`).
+    """The error-probability sweep as one engine plan (`bench`, `error-sweep`).
 
     ``collect_signatures`` defaults off — disagreement rates don't need
     signature tallies, so the per-payload walk stays off the hot path —
@@ -796,7 +786,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     import json
     import os
 
-    from .crypto.ideal import set_tag_memoization
     from .engine import ParallelRunner, clamp_workers
 
     plan = _build_sweep_plan(args)
@@ -853,16 +842,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print("DETERMINISM VIOLATION: vector results differ from object")
             return 2
 
-    baseline = None
-    if args.compare_baseline:
-        # Pre-optimization reference: legacy per-message signature walk,
-        # tag memoization off — what every run cost before the engine.
-        previous = set_tag_memoization(False)
-        try:
-            baseline = ParallelRunner(workers=1, legacy_metrics=True).run(plan)
-        finally:
-            set_tag_memoization(previous)
-
     metrics_leg = None
     if args.metrics:
         # Dedicated serial collection leg: metrics hooks are opt-in and
@@ -916,8 +895,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
     if vector is not None:
         timings.append(("engine vector (1 worker)", vector.wall_seconds))
-    if baseline is not None:
-        timings.insert(0, ("pre-engine baseline (serial)", baseline.wall_seconds))
     print()
     for label, seconds in timings:
         print(f"{label:32s}: {seconds:8.3f}s")
@@ -932,9 +909,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"{serial.wall_seconds / vector.wall_seconds:8.2f}x"
         )
         print(f"{'vector == object':32s}:       OK (bit-identical)")
-    if baseline is not None:
-        best = min(serial.wall_seconds, parallel.wall_seconds if parallel else serial.wall_seconds)
-        print(f"{'best vs baseline':32s}: {baseline.wall_seconds / best:8.2f}x")
     if parallel is not None and parallel.results == serial.results:
         print(f"{'serial == parallel':32s}:       OK (bit-identical)")
     if setup_timing is not None:
@@ -1061,21 +1035,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             ),
             "identical_vector_object": (
                 vector.results == serial.results if vector else None
-            ),
-            "baseline_seconds": (
-                round(baseline.wall_seconds, 4) if baseline else None
-            ),
-            "speedup_vs_baseline": (
-                round(
-                    baseline.wall_seconds
-                    / min(
-                        serial.wall_seconds,
-                        parallel.wall_seconds if parallel else serial.wall_seconds,
-                    ),
-                    3,
-                )
-                if baseline
-                else None
             ),
             "identical_serial_parallel": (
                 parallel.results == serial.results if parallel else None
@@ -1462,9 +1421,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--protocol", choices=["one_third", "one_half"], default="one_third"
     )
     sweep_parser.add_argument("--kappas", type=_parse_int_list, default=[1, 2, 4])
-    sweep_parser.add_argument("--trials", type=int, default=100)
+    sweep_parser.add_argument("--trials", type=_positive_int, default=100)
     sweep_parser.add_argument("--seed", type=int, default=0)
-    sweep_parser.set_defaults(handler=_cmd_error_sweep)
+    # The sweep always runs on ideal signatures; these fill in the plan
+    # fields that `bench` exposes as --backend / --rsa-bits.
+    sweep_parser.set_defaults(
+        handler=_cmd_error_sweep, backend="ideal", rsa_bits=256
+    )
 
     bench_parser = subparsers.add_parser(
         "bench",
@@ -1496,11 +1459,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument(
         "--json", default=None, metavar="PATH",
         help="write machine-readable timings/rates (BENCH_engine.json)",
-    )
-    bench_parser.add_argument(
-        "--compare-baseline", action="store_true",
-        help="also time the pre-optimization serial path "
-        "(reference signature walk, tag memoization off)",
     )
     bench_parser.add_argument(
         "--adaptive", action="store_true",

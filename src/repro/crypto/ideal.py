@@ -30,7 +30,7 @@ from typing import Sequence
 from .interfaces import CryptoError, SignatureScheme, ThresholdSignatureScheme
 from .random_oracle import Term, encode_term
 
-__all__ = ["IdealSignatureScheme", "IdealThresholdScheme", "set_tag_memoization"]
+__all__ = ["IdealSignatureScheme", "IdealThresholdScheme"]
 
 
 def _tag(key: bytes, *parts: Term) -> bytes:
@@ -42,18 +42,9 @@ def _tag(key: bytes, *parts: Term) -> bytes:
 # few tags are recomputed constantly — every share is verified by all n
 # parties, and every combine re-verifies its inputs — so each scheme
 # instance memoizes tags it has already derived.  The memo is an
-# implementation detail: results are bit-identical with it disabled
-# (`set_tag_memoization(False)`, used by `repro bench --compare-baseline`).
-_MEMO_ENABLED = True
+# implementation detail: every memoized tag equals a fresh `_tag(...)`
+# (pinned by tests/crypto/test_tag_memo.py).
 _MEMO_LIMIT = 1 << 14  # per scheme instance; cleared wholesale when full
-
-
-def set_tag_memoization(enabled: bool) -> bool:
-    """Globally enable/disable tag memoization; returns the old setting."""
-    global _MEMO_ENABLED
-    previous = _MEMO_ENABLED
-    _MEMO_ENABLED = enabled
-    return previous
 
 
 def _memo_key(term):
@@ -120,15 +111,11 @@ class _TagMemo:
 
     def signer_tag(self, domain: str, signer, message: Term) -> bytes:
         """Tag over (domain, signer, message) — plain signatures and shares."""
-        if not _MEMO_ENABLED:
-            return _tag(self._key, domain, signer, message)
         key = (domain, signer.__class__, signer, self._message_key(message))
         return self._lookup(key, domain, signer, message)
 
     def combined_tag(self, domain: str, message: Term) -> bytes:
         """Tag over (domain, message) — combined threshold signatures."""
-        if not _MEMO_ENABLED:
-            return _tag(self._key, domain, message)
         key = (domain, self._message_key(message))
         return self._lookup(key, domain, message)
 

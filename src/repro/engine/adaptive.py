@@ -176,11 +176,6 @@ class AdaptiveRunner:
         ``False`` disables the separation predicate entirely: every
         config runs until its cap or the budget, which (budget
         permitting) reproduces ``ParallelRunner`` byte-for-byte.
-    transport:
-        What pool workers send back: ``"compact"`` (default) ships one
-        packed :class:`~repro.engine.transport.ChunkSummary` per batch,
-        rebuilt losslessly on the parent side; ``"pickle"`` ships the
-        full ``ExecutionResult`` trees (legacy payload, benchmarking).
     telemetry:
         Optional :class:`~repro.obs.TelemetryWriter`.  When set, every
         allocation round emits an ``adaptive_round`` record (which
@@ -209,7 +204,6 @@ class AdaptiveRunner:
         min_hits: int = 5,
         precision: Optional[float] = None,
         z: float = _Z995,
-        transport: str = "compact",
         telemetry: Optional[TelemetryWriter] = None,
         backend: str = "object",
         metrics: bool = False,
@@ -218,17 +212,9 @@ class AdaptiveRunner:
             raise ValueError("need at least one worker")
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if transport not in ("compact", "pickle"):
-            raise ValueError(
-                f"transport must be 'compact' or 'pickle', got {transport!r}"
-            )
         if backend not in ("object", "vector"):
             raise ValueError(
                 f"backend must be 'object' or 'vector', got {backend!r}"
-            )
-        if metrics and transport == "pickle":
-            raise ValueError(
-                "metrics collection requires the compact transport"
             )
         self.workers = workers
         self.batch_size = batch_size
@@ -237,7 +223,6 @@ class AdaptiveRunner:
         self.min_hits = min_hits
         self.precision = precision
         self.z = z
-        self.transport = transport
         self.telemetry = telemetry
         # Same semantics as ParallelRunner: "vector" batches each
         # allocation-round batch through the lockstep executor (per-spec
@@ -452,9 +437,7 @@ class AdaptiveRunner:
             if self.backend == "vector":
                 tele = self.telemetry
                 for batch in batches:
-                    pairs, stats = execute_chunk(
-                        list(batch), False, None, metrics=sink
-                    )
+                    pairs, stats = execute_chunk(list(batch), metrics=sink)
                     if tele is not None:
                         tele.emit(
                             "probe_cache",
@@ -472,7 +455,6 @@ class AdaptiveRunner:
                     else:
                         yield index, run_trial(spec)
             return
-        compact = self.transport == "compact"
         tele = self.telemetry
         entry = _run_chunk if tele is None else _run_chunk_timed
         specs = {index: spec for batch in batches for index, spec in batch}
@@ -480,8 +462,7 @@ class AdaptiveRunner:
         dispatched = {}
         for batch in batches:
             future = pool.submit(
-                entry, list(batch), False, compact, None, self.backend,
-                sink is not None,
+                entry, list(batch), None, self.backend, sink is not None,
             )
             futures.append(future)
             if tele is not None:
@@ -503,13 +484,9 @@ class AdaptiveRunner:
                         span=round(tele.elapsed() - opened, 6),
                         payload_bytes=len(pickle.dumps(payload)),
                     )
-                if compact:
-                    if sink is not None:
-                        sink.update(payload.unpack_metrics())
-                    yield from payload.unpack(specs)
-                else:
-                    for index, result in payload:
-                        yield index, result
+                if sink is not None:
+                    sink.update(payload.unpack_metrics())
+                yield from payload.unpack(specs)
         except BaseException:
             for future in futures:
                 future.cancel()

@@ -23,8 +23,7 @@ Two overheads are kept off the critical path:
 * **IPC**: workers return one compact
   :class:`~repro.engine.transport.ChunkSummary` per chunk (varint-packed
   tallies and decisions) instead of pickled ``ExecutionResult`` trees;
-  the parent rebuilds the dataclasses losslessly
-  (``transport="pickle"`` restores the legacy payload for benchmarking).
+  the parent rebuilds the dataclasses losslessly.
 * **Setup**: for ``backend="real"`` plans the parent pre-deals each
   distinct ``suite_key`` once — fanning distinct keys across a dealing
   pool when there are several — and broadcasts the dealt suites to
@@ -36,7 +35,8 @@ per-task pickling/IPC overhead amortizes, with enough chunks per worker
 (4 by default) to keep the pool load-balanced when trial durations vary.
 
 ``workers=1`` (the default) executes inline — no pool, no pickling — and
-is exactly the legacy serial harness.
+is bit-identical to the serial harness
+:func:`repro.analysis.experiments.run_trials`.
 
 Observability is opt-in and off the results path: ``trace_dir`` streams
 one bounded-memory JSONL trace per trial (:mod:`repro.obs`) straight
@@ -55,7 +55,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..crypto.keys import CryptoSuite
 from ..network.metrics import RunMetrics
@@ -226,7 +226,6 @@ def predeal_suites(
 
 def run_trial(
     spec: TrialSpec,
-    legacy_metrics: bool = False,
     tracer: Optional[Tracer] = None,
     collector: Optional[MetricsRegistry] = None,
 ) -> ExecutionResult:
@@ -242,7 +241,6 @@ def run_trial(
         session=spec.session,
         max_rounds=spec.max_rounds,
         collect_signatures=spec.collect_signatures,
-        legacy_metrics=legacy_metrics,
         tracer=tracer,
         faults=build_fault_plan(spec.faults, spec.fault_param_dict),
         collector=collector,
@@ -254,7 +252,6 @@ def run_traced_trial(
     spec: TrialSpec,
     trace_dir: str,
     index: int,
-    legacy_metrics: bool = False,
     collector: Optional[MetricsRegistry] = None,
 ) -> ExecutionResult:
     """Run one trial with a streaming per-trial trace attached.
@@ -286,7 +283,7 @@ def run_traced_trial(
     sink = JsonlTraceSink(os.path.join(trace_dir, trace_filename(index)), meta=meta)
     tracer = Tracer(sink)
     try:
-        result = run_trial(spec, legacy_metrics, tracer=tracer, collector=collector)
+        result = run_trial(spec, tracer=tracer, collector=collector)
     except BaseException:
         tracer.close()
         try:
@@ -302,7 +299,6 @@ def run_measured_trial(
     spec: TrialSpec,
     trace_dir: Optional[str] = None,
     index: int = 0,
-    legacy_metrics: bool = False,
 ) -> Tuple[ExecutionResult, MetricsRegistry]:
     """Run one trial with a fresh metrics collector attached.
 
@@ -313,72 +309,60 @@ def run_measured_trial(
     """
     registry = MetricsRegistry()
     if trace_dir is not None:
-        result = run_traced_trial(
-            spec, trace_dir, index, legacy_metrics, collector=registry
-        )
+        result = run_traced_trial(spec, trace_dir, index, collector=registry)
     else:
-        result = run_trial(spec, legacy_metrics, collector=registry)
+        result = run_trial(spec, collector=registry)
     registry.finalize_trial(result)
     return result, registry
 
 
 def _run_chunk(
     chunk: Sequence[Tuple[int, TrialSpec]],
-    legacy_metrics: bool,
-    compact: bool = False,
     trace_dir: Optional[str] = None,
     backend: str = "object",
     metrics: bool = False,
-) -> Union[List[Tuple[int, ExecutionResult]], ChunkSummary]:
+) -> ChunkSummary:
     """Worker entry point: run a contiguous slice of the plan.
 
-    With ``compact`` the whole chunk returns as one packed
-    :class:`ChunkSummary` — the parent rebuilds the ``ExecutionResult``
-    trees from the specs it already holds, so only tallies and decisions
-    cross the pipe.  With ``trace_dir`` each trial streams a per-trial
-    JSONL trace into that directory as it runs (traces never ride the
-    result pipe).  ``backend="vector"`` routes the chunk through the
-    batch-vectorized executor (unsupported specs fall back per-spec to
-    the object simulator inside the chunk); results and packing are
-    bit-identical either way.  With ``metrics`` each trial collects a
-    per-trial registry, packed into the summary's ``metrics`` field
-    (metrics runs require the compact transport — enforced upstream).
+    The whole chunk returns as one packed :class:`ChunkSummary` — the
+    parent rebuilds the ``ExecutionResult`` trees from the specs it
+    already holds, so only tallies and decisions cross the pipe.  With
+    ``trace_dir`` each trial streams a per-trial JSONL trace into that
+    directory as it runs (traces never ride the result pipe).
+    ``backend="vector"`` routes the chunk through the batch-vectorized
+    executor (unsupported specs fall back per-spec to the object
+    simulator inside the chunk); results and packing are bit-identical
+    either way.  With ``metrics`` each trial collects a per-trial
+    registry, packed into the summary's ``metrics`` field.
     """
     registries: Dict[int, MetricsRegistry] = {}
     if backend == "vector":
         pairs, _ = execute_chunk(
-            chunk, legacy_metrics, trace_dir,
-            metrics=registries if metrics else None,
+            chunk, trace_dir, metrics=registries if metrics else None
         )
     elif metrics:
         pairs = []
         for index, spec in chunk:
-            result, registry = run_measured_trial(
-                spec, trace_dir, index, legacy_metrics
-            )
+            result, registry = run_measured_trial(spec, trace_dir, index)
             registries[index] = registry
             pairs.append((index, result))
     elif trace_dir is None:
-        pairs = [(index, run_trial(spec, legacy_metrics)) for index, spec in chunk]
+        pairs = [(index, run_trial(spec)) for index, spec in chunk]
     else:
         pairs = [
-            (index, run_traced_trial(spec, trace_dir, index, legacy_metrics))
+            (index, run_traced_trial(spec, trace_dir, index))
             for index, spec in chunk
         ]
-    if compact:
-        return ChunkSummary.pack(pairs, metrics=registries if metrics else None)
-    return pairs
+    return ChunkSummary.pack(pairs, metrics=registries if metrics else None)
 
 
 def _run_chunk_timed(
     chunk: Sequence[Tuple[int, TrialSpec]],
-    legacy_metrics: bool,
-    compact: bool = False,
     trace_dir: Optional[str] = None,
     backend: str = "object",
     metrics: bool = False,
     profile_path: Optional[str] = None,
-) -> Tuple[float, Union[List[Tuple[int, ExecutionResult]], ChunkSummary]]:
+) -> Tuple[float, ChunkSummary]:
     """Worker entry point for telemetry runs: payload plus in-worker
     execution seconds.  Timed *inside* the worker because the parent only
     sees dispatch→completion spans, which include queue wait — summing
@@ -395,9 +379,7 @@ def _run_chunk_timed(
         started = time.perf_counter()
         profiler.enable()
         try:
-            payload = _run_chunk(
-                chunk, legacy_metrics, compact, trace_dir, backend, metrics
-            )
+            payload = _run_chunk(chunk, trace_dir, backend, metrics)
         finally:
             profiler.disable()
         # The timed region is exactly the profiled region — the stats
@@ -407,9 +389,7 @@ def _run_chunk_timed(
         profiler.dump_stats(profile_path)
         return seconds, payload
     started = time.perf_counter()
-    payload = _run_chunk(
-        chunk, legacy_metrics, compact, trace_dir, backend, metrics
-    )
+    payload = _run_chunk(chunk, trace_dir, backend, metrics)
     return round(time.perf_counter() - started, 6), payload
 
 
@@ -436,7 +416,6 @@ class PlanResult:
     workers: int
     wall_seconds: float
     chunk_size: int = 1
-    transport: str = "compact"
     trace_dir: Optional[str] = None
     # Per-trial metrics registries in plan order, present iff the runner
     # was built with metrics=True.  Deterministic for a given (seed,
@@ -515,20 +494,14 @@ class ParallelRunner:
     """Runs :class:`TrialPlan`s, serially or across worker processes.
 
     ``workers=1`` executes inline; ``workers>1`` fans chunks out over a
-    ``ProcessPoolExecutor``.  ``transport`` selects what workers send
-    back: ``"compact"`` (default) ships one packed :class:`ChunkSummary`
-    per chunk, rebuilt losslessly on the parent side; ``"pickle"`` ships
-    the full ``ExecutionResult`` trees (the legacy payload, kept for
-    benchmarking the difference).  ``legacy_metrics=True`` selects the
-    pre-optimization simulator metrics path (baseline benchmarking only).
+    ``ProcessPoolExecutor``, each chunk shipping back one packed
+    :class:`ChunkSummary` that the parent rebuilds losslessly.
     """
 
     def __init__(
         self,
         workers: int = 1,
         chunk_size: Optional[int] = None,
-        legacy_metrics: bool = False,
-        transport: str = "compact",
         trace_dir: Optional[str] = None,
         telemetry: Optional[TelemetryWriter] = None,
         backend: str = "object",
@@ -539,26 +512,12 @@ class ParallelRunner:
             raise ValueError("need at least one worker")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be positive")
-        if transport not in ("compact", "pickle"):
-            raise ValueError(
-                f"transport must be 'compact' or 'pickle', got {transport!r}"
-            )
         if backend not in ("object", "vector"):
             raise ValueError(
                 f"backend must be 'object' or 'vector', got {backend!r}"
             )
-        if metrics and legacy_metrics:
-            raise ValueError(
-                "metrics collection does not support the legacy baseline"
-            )
-        if metrics and transport == "pickle":
-            raise ValueError(
-                "metrics collection requires the compact transport"
-            )
         self.workers = workers
         self.chunk_size = chunk_size
-        self.legacy_metrics = legacy_metrics
-        self.transport = transport
         self.trace_dir = trace_dir
         self.telemetry = telemetry
         # backend="vector" batches same-config supported trials through
@@ -574,94 +533,40 @@ class ParallelRunner:
         # --profile); profiling never touches what the trials compute.
         self.profile_dir = profile_dir
 
-    def _run_one(self, index: int, spec: TrialSpec) -> ExecutionResult:
-        """One inline trial, traced iff the runner collects traces."""
-        if self.trace_dir is not None:
-            return run_traced_trial(
-                spec, self.trace_dir, index, self.legacy_metrics
-            )
-        return run_trial(spec, self.legacy_metrics)
-
     def _prepare_trace_dir(self) -> None:
         if self.trace_dir is not None:
             os.makedirs(self.trace_dir, exist_ok=True)
         if self.profile_dir is not None:
             os.makedirs(self.profile_dir, exist_ok=True)
 
-    def _trial_metrics_list(
-        self, sink: Optional[Dict[int, MetricsRegistry]], total: int
-    ) -> Optional[List[MetricsRegistry]]:
-        if sink is None:
-            return None
-        missing = [index for index in range(total) if index not in sink]
-        if missing:  # pragma: no cover - would indicate a dropped chunk
-            raise RuntimeError(f"trials {missing} produced no metrics")
-        return [sink[index] for index in range(total)]
+    def _inline(self, plan: TrialPlan) -> bool:
+        return self.workers == 1 or len(plan) <= 1
 
     def run(self, plan: TrialPlan) -> PlanResult:
         """Execute every trial; results return in plan order."""
         started = time.perf_counter()
-        self._prepare_trace_dir()
-        tele = self.telemetry
         sink: Optional[Dict[int, MetricsRegistry]] = {} if self.metrics else None
-        if self.workers == 1 or len(plan) <= 1:
-            if tele is not None:
-                tele.emit(
-                    "run_start", label=plan.name, mode="inline",
-                    workers=1, trials=len(plan), backend=self.backend,
-                    **_fault_field(plan),
-                )
-            profiler = None
-            if self.profile_dir is not None:
-                import cProfile
-
-                profiler = cProfile.Profile()
-                profiler.enable()
-            try:
-                results = [
-                    result for _, result in self._run_inline(plan, tele, sink)
-                ]
-            finally:
-                if profiler is not None:
-                    profiler.disable()
-            if profiler is not None:
-                path = os.path.join(
-                    self.profile_dir, f"inline-{_safe_label(plan.name)}.pstats"
-                )
-                profiler.dump_stats(path)
-                if tele is not None:
-                    tele.emit(
-                        "profile", label=plan.name, path=path,
-                        seconds=round(time.perf_counter() - started, 6),
-                    )
-            if tele is not None:
-                tele.emit("run_complete", label=plan.name, trials=len(results))
-            return PlanResult(
-                plan=plan,
-                results=results,
-                workers=1,
-                wall_seconds=time.perf_counter() - started,
-                transport=self.transport,
-                trace_dir=self.trace_dir,
-                trial_metrics=self._trial_metrics_list(sink, len(plan)),
-            )
-
-        chunk_size = self.chunk_size or self._auto_chunk_size(len(plan))
         collected: List[Optional[ExecutionResult]] = [None] * len(plan)
-        for index, result in self._iter_pooled(plan, chunk_size, sink):
+        for index, result in self.run_iter(plan, metrics_sink=sink):
             collected[index] = result
         missing = [i for i, result in enumerate(collected) if result is None]
         if missing:  # pragma: no cover - pool misbehavior, not reachable normally
             raise RuntimeError(f"trials {missing} produced no result")
+        trial_metrics = None
+        if sink is not None:
+            missing = [index for index in range(len(plan)) if index not in sink]
+            if missing:  # pragma: no cover - would indicate a dropped chunk
+                raise RuntimeError(f"trials {missing} produced no metrics")
+            trial_metrics = [sink[index] for index in range(len(plan))]
+        inline = self._inline(plan)
         return PlanResult(
             plan=plan,
             results=collected,  # type: ignore[arg-type]
-            workers=self.workers,
+            workers=1 if inline else self.workers,
             wall_seconds=time.perf_counter() - started,
-            chunk_size=chunk_size,
-            transport=self.transport,
+            chunk_size=1 if inline else self._chunk_size_for(plan),
             trace_dir=self.trace_dir,
-            trial_metrics=self._trial_metrics_list(sink, len(plan)),
+            trial_metrics=trial_metrics,
         )
 
     def run_iter(
@@ -692,39 +597,70 @@ class ParallelRunner:
             )
         sink = metrics_sink if self.metrics else None
         self._prepare_trace_dir()
-        if self.workers == 1 or len(plan) <= 1:
-            tele = self.telemetry
-            if tele is not None:
-                tele.emit(
-                    "run_start", label=plan.name, mode="inline",
-                    workers=1, trials=len(plan), backend=self.backend,
-                    **_fault_field(plan),
-                )
-            yield from self._run_inline(plan, tele, sink)
-            if tele is not None:
-                tele.emit("run_complete", label=plan.name, trials=len(plan))
-            return
-        chunk_size = self.chunk_size or self._auto_chunk_size(len(plan))
-        yield from self._iter_pooled(plan, chunk_size, sink)
+        if self._inline(plan):
+            yield from self._run_inline(plan, sink)
+        else:
+            yield from self._iter_pooled(plan, self._chunk_size_for(plan), sink)
 
     def _run_inline(
         self,
         plan: TrialPlan,
-        tele: Optional[TelemetryWriter],
         sink: Optional[Dict[int, MetricsRegistry]] = None,
     ) -> Iterator[Tuple[int, ExecutionResult]]:
         """Inline (no-pool) execution, in plan order.
+
+        Brackets the run with ``run_start``/``run_complete`` telemetry
+        and, with ``profile_dir``, one ``inline-<plan>.pstats`` dump.
+        """
+        tele = self.telemetry
+        if tele is not None:
+            tele.emit(
+                "run_start", label=plan.name, mode="inline",
+                workers=1, trials=len(plan), backend=self.backend,
+                **_fault_field(plan),
+            )
+        profiler = None
+        if self.profile_dir is not None:
+            import cProfile
+
+            started = time.perf_counter()
+            profiler = cProfile.Profile()
+            profiler.enable()
+        try:
+            yield from self._inline_pairs(plan, sink)
+        finally:
+            if profiler is not None:
+                profiler.disable()
+        if profiler is not None:
+            path = os.path.join(
+                self.profile_dir, f"inline-{_safe_label(plan.name)}.pstats"
+            )
+            profiler.dump_stats(path)
+            if tele is not None:
+                tele.emit(
+                    "profile", label=plan.name, path=path,
+                    seconds=round(time.perf_counter() - started, 6),
+                )
+        if tele is not None:
+            tele.emit("run_complete", label=plan.name, trials=len(plan))
+
+    def _inline_pairs(
+        self,
+        plan: TrialPlan,
+        sink: Optional[Dict[int, MetricsRegistry]],
+    ) -> Iterator[Tuple[int, ExecutionResult]]:
+        """The inline trials themselves, in plan order.
 
         The vector backend runs the whole plan as one chunk — that is
         what lets a serial ``repro bench --vector`` batch each
         configuration's trials in lockstep — and emits one
         ``vector_batch`` telemetry span describing the batching.
         """
+        tele = self.telemetry
         if self.backend == "vector":
             started = time.perf_counter()
             pairs, stats = execute_chunk(
-                list(enumerate(plan.trials)), self.legacy_metrics, self.trace_dir,
-                metrics=sink,
+                list(enumerate(plan.trials)), self.trace_dir, metrics=sink
             )
             if tele is not None:
                 tele.emit(
@@ -743,13 +679,13 @@ class ParallelRunner:
             return
         for index, spec in enumerate(plan.trials):
             if sink is not None:
-                result, registry = run_measured_trial(
-                    spec, self.trace_dir, index, self.legacy_metrics
-                )
+                result, registry = run_measured_trial(spec, self.trace_dir, index)
                 sink[index] = registry
                 yield index, result
+            elif self.trace_dir is not None:
+                yield index, run_traced_trial(spec, self.trace_dir, index)
             else:
-                yield index, self._run_one(index, spec)
+                yield index, run_trial(spec)
 
     def _iter_pooled(
         self,
@@ -763,14 +699,13 @@ class ParallelRunner:
             indexed[start : start + chunk_size]
             for start in range(0, len(indexed), chunk_size)
         ]
-        compact = self.transport == "compact"
         tele = self.telemetry
         if tele is not None:
             tele.emit(
                 "run_start", label=plan.name, mode="pool",
                 workers=self.workers, trials=len(plan),
                 chunks=len(chunks), chunk_size=chunk_size,
-                transport=self.transport, **_fault_field(plan),
+                **_fault_field(plan),
             )
         predeal_started = time.perf_counter()
         dealt = predeal_suites(plan, self.workers)
@@ -796,14 +731,13 @@ class ParallelRunner:
                         self.profile_dir, f"chunk-{number:05d}.pstats"
                     )
                 future = pool.submit(
-                    _run_chunk_timed, chunk, self.legacy_metrics, compact,
-                    self.trace_dir, self.backend, self.metrics, profile_path,
+                    _run_chunk_timed, chunk, self.trace_dir, self.backend,
+                    self.metrics, profile_path,
                 )
                 profile_paths[future] = profile_path
             else:
                 future = pool.submit(
-                    _run_chunk, chunk, self.legacy_metrics, compact,
-                    self.trace_dir, self.backend, self.metrics,
+                    _run_chunk, chunk, self.trace_dir, self.backend, self.metrics,
                 )
             futures.append(future)
             dispatched[future] = (number, tele.elapsed() if tele else 0.0)
@@ -832,19 +766,18 @@ class ParallelRunner:
                                 "profile", chunk=number, path=profile_path,
                                 seconds=seconds,
                             )
-                if compact:
-                    if sink is not None:
-                        sink.update(payload.unpack_metrics())
-                    yield from payload.unpack(plan.trials)
-                else:
-                    for index, result in payload:
-                        yield index, result
+                if sink is not None:
+                    sink.update(payload.unpack_metrics())
+                yield from payload.unpack(plan.trials)
             if tele is not None:
                 tele.emit("run_complete", label=plan.name, trials=len(plan))
         finally:
             for future in futures:
                 future.cancel()
             pool.shutdown(wait=True, cancel_futures=True)
+
+    def _chunk_size_for(self, plan: TrialPlan) -> int:
+        return self.chunk_size or self._auto_chunk_size(len(plan))
 
     def _auto_chunk_size(self, total: int) -> int:
         """~4 chunks per worker: amortizes IPC, keeps the pool balanced."""

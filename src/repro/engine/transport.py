@@ -25,8 +25,10 @@ Losslessness is the load-bearing property: ``unpack(pack(result), spec)``
 compares equal to ``result`` field for field, for every registered
 protocol × adversary combination (pinned by
 ``tests/engine/test_transport.py``), which is what lets
-``ParallelRunner`` and ``AdaptiveRunner`` switch transports without
-changing a single measured number.
+``ParallelRunner`` and ``AdaptiveRunner`` ship only summaries from pool
+workers without changing a single measured number.  Varints use the
+LEB128 pair from :mod:`repro.obs.metrics`; a truncated blob surfaces
+here as :class:`TransportError`.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ from typing import (
 
 from ..network.metrics import RunMetrics
 from ..network.simulator import ExecutionResult
+from ..obs.metrics import MetricsRegistry, read_varint, write_varint
+from ..obs.sinks import ObsFormatError
 from .plan import TrialSpec
 
 __all__ = [
@@ -73,44 +77,6 @@ SpecLookup = Union[Sequence["TrialSpec"], Mapping[int, "TrialSpec"]]
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 
-def _write_varint(buf: bytearray, value: int) -> None:
-    """Append one unsigned LEB128 varint."""
-    if value < 0:
-        raise ValueError(f"varint values must be non-negative, got {value}")
-    while True:
-        low = value & 0x7F
-        value >>= 7
-        if value:
-            buf.append(low | 0x80)
-        else:
-            buf.append(low)
-            return
-
-
-def _read_varint(blob: bytes, at: int) -> Tuple[int, int]:
-    """Decode one varint starting at ``at``; returns ``(value, next_at)``.
-
-    Every read is bounds-checked: a truncated blob — including one cut
-    mid-varint, where the last byte still has its continuation bit set —
-    raises :class:`TransportError` instead of ``IndexError``.
-    """
-    value = 0
-    shift = 0
-    size = len(blob)
-    while True:
-        if at >= size:
-            raise TransportError(
-                f"truncated varint payload: needed a byte at offset {at}, "
-                f"blob is {size} bytes"
-            )
-        byte = blob[at]
-        at += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, at
-        shift += 7
-
-
 class TrialSummary(NamedTuple):
     """One trial's outcome, packed for the trip back through the pool.
 
@@ -131,23 +97,23 @@ class TrialSummary(NamedTuple):
     def pack(cls, result: ExecutionResult) -> "TrialSummary":
         """Flatten an ``ExecutionResult`` into the wire form."""
         buf = bytearray()
-        _write_varint(buf, result.metrics.rounds)
+        write_varint(buf, result.metrics.rounds)
 
         finish_items = tuple(result.finish_rounds.items())
-        _write_varint(buf, len(finish_items))
+        write_varint(buf, len(finish_items))
         for pid, finish_round in finish_items:
-            _write_varint(buf, pid)
-            _write_varint(buf, finish_round)
+            write_varint(buf, pid)
+            write_varint(buf, finish_round)
 
         mask = 0
         for pid in result.corrupted:
             mask |= 1 << pid
-        _write_varint(buf, mask)
+        write_varint(buf, mask)
 
         tallies = result.metrics.as_tallies()
-        _write_varint(buf, len(tallies) // 5)
+        write_varint(buf, len(tallies) // 5)
         for value in tallies:
-            _write_varint(buf, value)
+            write_varint(buf, value)
 
         # The simulator records outputs and finish_rounds together, so
         # their key sequences coincide; when they do and every value is a
@@ -163,49 +129,52 @@ class TrialSummary(NamedTuple):
             )
         )
         if packable:
-            _write_varint(buf, 1)
+            write_varint(buf, 1)
             for _pid, value in output_items:
-                _write_varint(buf, value)
+                write_varint(buf, value)
             return cls(blob=bytes(buf))
-        _write_varint(buf, 0)
+        write_varint(buf, 0)
         return cls(blob=bytes(buf), outputs=output_items)
 
     def unpack(self, spec: TrialSpec) -> ExecutionResult:
         """Rebuild the exact ``ExecutionResult`` this summary was packed
         from, using ``spec`` for everything the parent can rederive."""
         blob = self.blob
-        rounds, at = _read_varint(blob, 0)
+        try:
+            rounds, at = read_varint(blob, 0)
 
-        finished, at = _read_varint(blob, at)
-        finish_pairs: List[Tuple[int, int]] = []
-        for _ in range(finished):
-            pid, at = _read_varint(blob, at)
-            finish_round, at = _read_varint(blob, at)
-            finish_pairs.append((pid, finish_round))
+            finished, at = read_varint(blob, at)
+            finish_pairs: List[Tuple[int, int]] = []
+            for _ in range(finished):
+                pid, at = read_varint(blob, at)
+                finish_round, at = read_varint(blob, at)
+                finish_pairs.append((pid, finish_round))
 
-        mask, at = _read_varint(blob, at)
-        corrupted = set()
-        pid = 0
-        while mask:
-            if mask & 1:
-                corrupted.add(pid)
-            mask >>= 1
-            pid += 1
+            mask, at = read_varint(blob, at)
+            corrupted = set()
+            pid = 0
+            while mask:
+                if mask & 1:
+                    corrupted.add(pid)
+                mask >>= 1
+                pid += 1
 
-        tally_rounds, at = _read_varint(blob, at)
-        tallies: List[int] = []
-        for _ in range(tally_rounds * 5):
-            value, at = _read_varint(blob, at)
-            tallies.append(value)
+            tally_rounds, at = read_varint(blob, at)
+            tallies: List[int] = []
+            for _ in range(tally_rounds * 5):
+                value, at = read_varint(blob, at)
+                tallies.append(value)
 
-        packed_outputs, at = _read_varint(blob, at)
-        if packed_outputs:
-            outputs = {}
-            for out_pid, _fin in finish_pairs:
-                value, at = _read_varint(blob, at)
-                outputs[out_pid] = value
-        else:
-            outputs = dict(self.outputs or ())
+            packed_outputs, at = read_varint(blob, at)
+            if packed_outputs:
+                outputs = {}
+                for out_pid, _fin in finish_pairs:
+                    value, at = read_varint(blob, at)
+                    outputs[out_pid] = value
+            else:
+                outputs = dict(self.outputs or ())
+        except ObsFormatError as exc:
+            raise TransportError(str(exc)) from exc
 
         return ExecutionResult(
             outputs=outputs,
@@ -250,11 +219,11 @@ class ChunkSummary(NamedTuple):
         """
         buf = bytearray()
         fallbacks: List[Tuple[int, Tuple[Tuple[int, Any], ...]]] = []
-        _write_varint(buf, len(indexed_results))
+        write_varint(buf, len(indexed_results))
         for index, result in indexed_results:
             summary = TrialSummary.pack(result)
-            _write_varint(buf, index)
-            _write_varint(buf, len(summary.blob))
+            write_varint(buf, index)
+            write_varint(buf, len(summary.blob))
             buf += summary.blob
             if summary.outputs is not None:
                 fallbacks.append((index, summary.outputs))
@@ -278,28 +247,29 @@ class ChunkSummary(NamedTuple):
         """
         fallback = dict(self.fallbacks)
         blob = self.blob
-        count, at = _read_varint(blob, 0)
-        pairs: List[Tuple[int, ExecutionResult]] = []
-        for _ in range(count):
-            index, at = _read_varint(blob, at)
-            length, at = _read_varint(blob, at)
-            if at + length > len(blob):
-                raise TransportError(
-                    f"truncated chunk payload: trial {index} declares a "
-                    f"{length}-byte summary at offset {at}, blob is "
-                    f"{len(blob)} bytes"
+        try:
+            count, at = read_varint(blob, 0)
+            pairs: List[Tuple[int, ExecutionResult]] = []
+            for _ in range(count):
+                index, at = read_varint(blob, at)
+                length, at = read_varint(blob, at)
+                if at + length > len(blob):
+                    raise TransportError(
+                        f"truncated chunk payload: trial {index} declares a "
+                        f"{length}-byte summary at offset {at}, blob is "
+                        f"{len(blob)} bytes"
+                    )
+                summary = TrialSummary(
+                    blob=blob[at : at + length], outputs=fallback.get(index)
                 )
-            summary = TrialSummary(
-                blob=blob[at : at + length], outputs=fallback.get(index)
-            )
-            at += length
-            pairs.append((index, summary.unpack(specs[index])))
+                at += length
+                pairs.append((index, summary.unpack(specs[index])))
+        except ObsFormatError as exc:
+            raise TransportError(str(exc)) from exc
         return pairs
 
     def unpack_metrics(self) -> Dict[int, Any]:
         """Rebuild the chunk's plan index → ``MetricsRegistry`` mapping."""
-        from ..obs.metrics import MetricsRegistry
-
         return {
             index: MetricsRegistry.unpack(blob) for index, blob in self.metrics
         }
@@ -309,15 +279,15 @@ def measure_payload_bytes(
     indexed_results: Sequence[Tuple[int, ExecutionResult]],
     chunk_size: Optional[int] = None,
 ) -> Tuple[int, int]:
-    """Pickled bytes of one result batch under both transports.
+    """Pickled bytes of one result batch, full trees versus compact.
 
-    Returns ``(full_bytes, compact_bytes)`` — the size of the legacy
-    payload (``(index, ExecutionResult)`` pairs, exactly what
-    ``transport="pickle"`` ships) versus the compact payload (one
-    :class:`ChunkSummary` per chunk).  ``chunk_size`` mirrors the
-    runner's chunked dispatch (default: the whole batch as one chunk);
-    both transports are summed over the same chunking, so the comparison
-    is what actually crosses the pipe.  Used by ``repro bench`` to
+    Returns ``(full_bytes, compact_bytes)`` — the pickled size of the
+    ``(index, ExecutionResult)`` pairs themselves (an estimate of what
+    shipping whole trees would cost) versus the compact payload the
+    runners actually ship (one :class:`ChunkSummary` per chunk).
+    ``chunk_size`` mirrors the runner's chunked dispatch (default: the
+    whole batch as one chunk); both sizes are summed over the same
+    chunking.  Used by ``repro bench`` to
     record ``payload_bytes_full`` / ``payload_bytes_compact``.
     """
     indexed = list(indexed_results)

@@ -31,7 +31,7 @@ closed form, both covered by the equivalence suite in
 ``tests/engine/test_vectorized.py``.
 
 Anything the model cannot express — the real-RSA backend, trace
-collection, legacy metrics, protocols or adversaries without a registered
+collection, metrics collection, protocols or adversaries without a registered
 vector model, non-bit inputs, exotic adversary parameters — falls back
 per-spec to :func:`repro.engine.runner.run_trial`, which is the same code
 path ``backend="object"`` uses, so results are identical either way.
@@ -252,7 +252,6 @@ def run_vector_batch(specs: Sequence[TrialSpec]) -> List[ExecutionResult]:
 
 def execute_chunk(
     chunk: Sequence[Tuple[int, TrialSpec]],
-    legacy_metrics: bool = False,
     trace_dir: Optional[str] = None,
     metrics: Optional[Dict[int, Any]] = None,
 ) -> Tuple[List[Tuple[int, ExecutionResult]], Dict[str, Any]]:
@@ -283,14 +282,12 @@ def execute_chunk(
 
     def object_path(index: int, spec: TrialSpec) -> ExecutionResult:
         if metrics is not None:
-            result, registry = run_measured_trial(
-                spec, trace_dir, index, legacy_metrics
-            )
+            result, registry = run_measured_trial(spec, trace_dir, index)
             metrics[index] = registry
             return result
         if trace_dir is not None:
-            return run_traced_trial(spec, trace_dir, index, legacy_metrics)
-        return run_trial(spec, legacy_metrics=legacy_metrics)
+            return run_traced_trial(spec, trace_dir, index)
+        return run_trial(spec)
 
     cache_before = probe_cache_stats()
     results: Dict[int, ExecutionResult] = {}
@@ -298,10 +295,6 @@ def execute_chunk(
     fallback: List[Tuple[int, TrialSpec]] = []
     reasons: Counter = Counter()
     for index, spec in chunk:
-        if legacy_metrics:
-            reasons["legacy metrics requested"] += 1
-            fallback.append((index, spec))
-            continue
         if metrics is not None:
             reasons["metrics collection requested"] += 1
             fallback.append((index, spec))

@@ -11,9 +11,9 @@ The walk is the hottest non-protocol code in every simulated execution
 (it runs on every delivered message), so it is driven by a per-*type*
 dispatch cache: the dataclass-reflection questions (is this a dataclass?
 which module defines it? what are its fields?) are answered once per
-distinct payload type, not once per payload.  The uncached reference walk
-is kept as :func:`count_signatures_reference`; the regression tests in
-``tests/network/test_metrics.py`` prove the two always agree.
+distinct payload type, not once per payload.  The regression tests in
+``tests/network/test_metrics.py`` check it against an uncached reference
+walk that answers those questions on every payload.
 
 Scope of the count, explicitly: containers recognized as traversable are
 dataclasses, ``dict`` and ``list``/``tuple``/``set``/``frozenset``
@@ -35,34 +35,11 @@ __all__ = [
     "RoundStats",
     "RunMetrics",
     "count_signatures",
-    "count_signatures_reference",
 ]
 
 
-def count_signatures_reference(payload: Any) -> int:
-    """Uncached reference walk — the specification ``count_signatures``
-    must match.  Kept for regression tests and baseline benchmarking."""
-    if payload is None or isinstance(payload, (int, str, bytes, bool, float)):
-        return 0
-    if dataclasses.is_dataclass(payload) and not isinstance(payload, type):
-        if type(payload).__module__.startswith("repro.crypto"):
-            return 1
-        return sum(
-            count_signatures_reference(getattr(payload, f.name))
-            for f in dataclasses.fields(payload)
-        )
-    if isinstance(payload, dict):
-        return sum(count_signatures_reference(v) for v in payload.values()) + sum(
-            count_signatures_reference(k) for k in payload.keys()
-        )
-    if isinstance(payload, (list, tuple, set, frozenset)):
-        return sum(count_signatures_reference(item) for item in payload)
-    return 0
-
-
-# Per-type dispatch kinds.  Classification mirrors the reference walk's
-# check order exactly (scalars before dataclasses: a dataclass subclassing
-# int is a scalar there too).
+# Per-type dispatch kinds.  Classification order matters: scalars come
+# before dataclasses, so a dataclass subclassing int is a scalar.
 _KIND_ZERO = 0  # scalars, None, and unrecognized types
 _KIND_SIGNATURE = 1  # dataclasses defined in repro.crypto.*
 _KIND_DATACLASS = 2  # other dataclasses: recurse into fields
@@ -91,9 +68,8 @@ def _classify(tp: type) -> int:
 def count_signatures(payload: Any) -> int:
     """Count signature objects (shares, combined, plain) inside a payload.
 
-    Equivalent to :func:`count_signatures_reference`, but dataclass
-    reflection runs once per distinct payload *type* instead of once per
-    payload.  Unrecognized container types count as 0 — see the module
+    Dataclass reflection runs once per distinct payload *type* instead
+    of once per payload.  Unrecognized container types count as 0 — see the module
     docstring for the exact traversal scope.
     """
     tp = payload.__class__

@@ -22,7 +22,7 @@ from ..crypto.keys import CryptoSuite
 from .errors import AdversaryBudgetError, RoundLimitError, SimulationError
 from .faults import FaultCounts, FaultInjector, FaultPlan
 from .messages import Outbox, normalize_outbox
-from .metrics import RunMetrics, count_signatures, count_signatures_reference
+from .metrics import RunMetrics, count_signatures
 from .party import Context, ProgramFactory
 from .trace import Tracer
 
@@ -87,7 +87,6 @@ class SyncSimulator:
         max_rounds: int = 4096,
         tracer: Optional[Tracer] = None,
         collect_signatures: bool = True,
-        legacy_metrics: bool = False,
         faults: Optional[FaultPlan] = None,
         collector: Optional[Any] = None,
     ) -> None:
@@ -109,33 +108,17 @@ class SyncSimulator:
         # collect_signatures=False skips the per-payload signature walk
         # entirely (message/round tallies stay exact, signature tallies
         # read 0) — the right setting for agreement-rate sweeps, where
-        # the walk is pure overhead.  legacy_metrics=True restores the
-        # pre-optimization per-message reference walk; it exists solely
-        # so `repro bench --compare-baseline` can measure the win.
+        # the walk is pure overhead.
         self.collect_signatures = collect_signatures
-        self.legacy_metrics = legacy_metrics
         # Fault injection (repro.network.faults): loss/delay/partition/
         # crash/membership faults applied at delivery time.  None keeps
-        # the delivery path byte-identical to the pre-fault-layer code;
-        # the legacy baseline predates faults and must stay a pure
-        # measurement control, so combining them is an error.
-        if faults is not None and legacy_metrics:
-            raise SimulationError(
-                "legacy_metrics is a benchmark baseline; it does not "
-                "support fault injection"
-            )
+        # the delivery path byte-identical to the pre-fault-layer code.
         self.faults = faults
         # Protocol-metrics collector (repro.obs.metrics.MetricsRegistry,
         # duck-typed here because network must not import obs): gets
         # on_message()/on_fault() callbacks from the delivery path, same
         # seam as the tracer.  collector=None keeps delivery byte-identical
-        # to the pre-metrics code; the legacy baseline predates the seam
-        # and must stay a pure measurement control.
-        if collector is not None and legacy_metrics:
-            raise SimulationError(
-                "legacy_metrics is a benchmark baseline; it does not "
-                "support metrics collection"
-            )
+        # to the pre-metrics code.
         self.collector = collector
         # Per-run injection tallies of the most recent run() with faults.
         self.last_fault_counts: Optional[FaultCounts] = None
@@ -233,8 +216,6 @@ class SyncSimulator:
                 self._deliver_faulty(
                     round_index, normalized, corrupted, inboxes, metrics, injector
                 )
-            elif self.legacy_metrics:
-                self._deliver_legacy(round_index, normalized, corrupted, inboxes, metrics)
             else:
                 self._deliver(round_index, normalized, corrupted, inboxes, metrics)
 
@@ -281,8 +262,8 @@ class SyncSimulator:
         once, the tracer check is hoisted out of the per-message loop, and
         the signature walk runs once per distinct payload *object* per
         sender — a sender multicasting one payload to n recipients costs
-        one walk, not n.  Tallies are bit-identical to the legacy
-        per-message path (``legacy_metrics=True``).
+        one walk, not n.  Tallies are bit-identical to a per-message
+        reference walk (pinned by ``tests/network/test_metrics.py``).
         """
         tracer = self.tracer
         collector = self.collector
@@ -460,32 +441,6 @@ class SyncSimulator:
                     round_index, entry.sender, entry.recipient, entry.payload,
                     entry.sender_honest,
                 )
-
-    def _deliver_legacy(
-        self,
-        round_index: int,
-        normalized: Dict[int, Dict[int, Any]],
-        corrupted: Set[int],
-        inboxes: Dict[int, Dict[int, Any]],
-        metrics: RunMetrics,
-    ) -> None:
-        """Pre-optimization delivery: reference walk on every message.
-
-        Benchmark baseline only (`repro bench --compare-baseline`); must
-        stay behaviorally identical to :meth:`_deliver` with
-        ``collect_signatures=True``.
-        """
-        for sender in range(self.num_parties):
-            sender_honest = sender not in corrupted
-            for recipient, payload in normalized[sender].items():
-                inboxes[recipient][sender] = payload
-                metrics.record(
-                    round_index, sender_honest, count_signatures_reference(payload)
-                )
-                if self.tracer is not None:
-                    self.tracer.record_message(
-                        round_index, sender, recipient, payload, sender_honest
-                    )
 
     def _honest_unfinished(self, outputs: Dict[int, Any], corrupted: Set[int]) -> bool:
         return any(

@@ -182,11 +182,12 @@ def summary_kind(summary: str) -> str:
     return "object"
 
 
-# ── varint codec (LEB128, same wire idiom as repro.engine.transport; the
-#    obs layer cannot import engine, so the ~10 lines are duplicated) ───
+# ── varint codec (unsigned LEB128; the engine's compact result transport,
+#    repro.engine.transport, packs with the same pair) ───────────────────
 
 
-def _write_varint(buf: bytearray, value: int) -> None:
+def write_varint(buf: bytearray, value: int) -> None:
+    """Append one unsigned LEB128 varint."""
     if value < 0:
         raise ValueError(f"varint cannot encode negative value {value}")
     while True:
@@ -199,12 +200,22 @@ def _write_varint(buf: bytearray, value: int) -> None:
             return
 
 
-def _read_varint(blob: bytes, at: int) -> Tuple[int, int]:
+def read_varint(blob: bytes, at: int) -> Tuple[int, int]:
+    """Decode one varint starting at ``at``; returns ``(value, next_at)``.
+
+    Every read is bounds-checked: a truncated blob — including one cut
+    mid-varint, where the last byte still has its continuation bit set —
+    raises :class:`ObsFormatError` instead of ``IndexError``.
+    """
     result = 0
     shift = 0
+    size = len(blob)
     while True:
-        if at >= len(blob):
-            raise ObsFormatError("truncated metrics blob: varint runs past end")
+        if at >= size:
+            raise ObsFormatError(
+                f"truncated varint: needed a byte at offset {at}, "
+                f"blob is {size} bytes"
+            )
         byte = blob[at]
         at += 1
         result |= (byte & 0x7F) << shift
@@ -215,12 +226,12 @@ def _read_varint(blob: bytes, at: int) -> Tuple[int, int]:
 
 def _write_str(buf: bytearray, text: str) -> None:
     raw = text.encode("utf-8")
-    _write_varint(buf, len(raw))
+    write_varint(buf, len(raw))
     buf.extend(raw)
 
 
 def _read_str(blob: bytes, at: int) -> Tuple[str, int]:
-    length, at = _read_varint(blob, at)
+    length, at = read_varint(blob, at)
     end = at + length
     if end > len(blob):
         raise ObsFormatError("truncated metrics blob: string runs past end")
@@ -564,59 +575,59 @@ class MetricsRegistry:
     def pack(self) -> bytes:
         """Canonical varint encoding: equal registries pack identically."""
         buf = bytearray()
-        _write_varint(buf, _PACK_VERSION)
-        _write_varint(buf, len(self.counters))
+        write_varint(buf, _PACK_VERSION)
+        write_varint(buf, len(self.counters))
         for (name, label) in sorted(self.counters):
             _write_str(buf, name)
             _write_str(buf, label)
-            _write_varint(buf, self.counters[(name, label)])
-        _write_varint(buf, len(self.histograms))
+            write_varint(buf, self.counters[(name, label)])
+        write_varint(buf, len(self.histograms))
         for name in sorted(self.histograms):
             hist = self.histograms[name]
             _write_str(buf, name)
-            _write_varint(buf, len(hist.buckets))
+            write_varint(buf, len(hist.buckets))
             for bound in hist.buckets:
-                _write_varint(buf, bound)
+                write_varint(buf, bound)
             for count in hist.counts:
-                _write_varint(buf, count)
-            _write_varint(buf, hist.count)
-            _write_varint(buf, hist.total)
+                write_varint(buf, count)
+            write_varint(buf, hist.count)
+            write_varint(buf, hist.total)
             if hist.count:
-                _write_varint(buf, hist.minimum or 0)
-                _write_varint(buf, hist.maximum or 0)
+                write_varint(buf, hist.minimum or 0)
+                write_varint(buf, hist.maximum or 0)
         return bytes(buf)
 
     @classmethod
     def unpack(cls, blob: bytes) -> "MetricsRegistry":
         registry = cls()
-        version, at = _read_varint(blob, 0)
+        version, at = read_varint(blob, 0)
         if version != _PACK_VERSION:
             raise ObsFormatError(f"unknown metrics pack version {version}")
-        n_counters, at = _read_varint(blob, at)
+        n_counters, at = read_varint(blob, at)
         for _ in range(n_counters):
             name, at = _read_str(blob, at)
             label, at = _read_str(blob, at)
-            value, at = _read_varint(blob, at)
+            value, at = read_varint(blob, at)
             registry.counters[(name, label)] = value
-        n_hists, at = _read_varint(blob, at)
+        n_hists, at = read_varint(blob, at)
         for _ in range(n_hists):
             name, at = _read_str(blob, at)
-            n_buckets, at = _read_varint(blob, at)
+            n_buckets, at = read_varint(blob, at)
             buckets = []
             for _ in range(n_buckets):
-                bound, at = _read_varint(blob, at)
+                bound, at = read_varint(blob, at)
                 buckets.append(bound)
             hist = Histogram(buckets)
             counts = []
             for _ in range(n_buckets + 1):
-                count, at = _read_varint(blob, at)
+                count, at = read_varint(blob, at)
                 counts.append(count)
             hist.counts = counts
-            hist.count, at = _read_varint(blob, at)
-            hist.total, at = _read_varint(blob, at)
+            hist.count, at = read_varint(blob, at)
+            hist.total, at = read_varint(blob, at)
             if hist.count:
-                hist.minimum, at = _read_varint(blob, at)
-                hist.maximum, at = _read_varint(blob, at)
+                hist.minimum, at = read_varint(blob, at)
+                hist.maximum, at = read_varint(blob, at)
             registry.histograms[name] = hist
         if at != len(blob):
             raise ObsFormatError(

@@ -10,12 +10,8 @@ import random
 
 import pytest
 
-from repro.crypto.ideal import (
-    IdealSignatureScheme,
-    IdealThresholdScheme,
-    set_tag_memoization,
-)
-from repro.crypto.ideal import _memo_key
+from repro.crypto.ideal import IdealSignatureScheme, IdealThresholdScheme
+from repro.crypto.ideal import _memo_key, _tag
 
 
 @pytest.fixture
@@ -38,16 +34,17 @@ class TestMemoTransparency:
             b"raw",
             ("nested", ("deep", 3)),
         ]
-        previous = set_tag_memoization(False)
-        try:
-            cold_plain = [plain.sign(1, m).tag for m in messages]
-            cold_share = [threshold.sign_share(2, m).tag for m in messages]
-        finally:
-            set_tag_memoization(previous)
-        warm_plain = [plain.sign(1, m).tag for m in messages]
-        warm_share = [threshold.sign_share(2, m).tag for m in messages]
-        assert warm_plain == cold_plain
-        assert warm_share == cold_share
+        # Twice each: the first call fills the memo, the second reads it.
+        for _ in range(2):
+            assert [plain.sign(1, m).tag for m in messages] == [
+                _tag(plain._key, "plain", 1, m) for m in messages
+            ]
+            assert [threshold.sign_share(2, m).tag for m in messages] == [
+                _tag(threshold._key, "share", 2, m) for m in messages
+            ]
+            assert [threshold.combined_bytes(m) for m in messages] == [
+                _tag(threshold._key, "combined", m) for m in messages
+            ]
 
     def test_repeat_sign_hits_memo_and_stays_stable(self, plain):
         message = ("echo", 4, (0, 1))
@@ -55,14 +52,6 @@ class TestMemoTransparency:
         for _ in range(5):
             assert plain.sign(0, message) == first
             assert plain.verify(0, first, message)
-
-    def test_toggle_returns_previous_setting(self):
-        previous = set_tag_memoization(False)
-        try:
-            assert set_tag_memoization(True) is False
-            assert set_tag_memoization(True) is True
-        finally:
-            set_tag_memoization(previous)
 
 
 class TestKeyInjectivity:

@@ -89,14 +89,6 @@ class TestBackendIdentity:
 
 
 class TestRunnerValidation:
-    def test_metrics_rejects_legacy_baseline(self):
-        with pytest.raises(ValueError, match="legacy"):
-            ParallelRunner(workers=1, metrics=True, legacy_metrics=True)
-
-    def test_metrics_requires_compact_transport(self):
-        with pytest.raises(ValueError, match="compact"):
-            ParallelRunner(workers=1, metrics=True, transport="pickle")
-
     def test_run_iter_requires_a_sink_when_collecting(self):
         runner = ParallelRunner(workers=1, metrics=True)
         with pytest.raises(ValueError, match="sink"):
@@ -160,10 +152,6 @@ class TestAdaptiveMetrics:
         fixed = ParallelRunner(workers=1, metrics=True).run(plan)
         assert merged_serial == fixed.metrics_registry()
 
-    def test_metrics_requires_compact_transport(self):
-        with pytest.raises(ValueError, match="compact"):
-            AdaptiveRunner(workers=1, metrics=True, transport="pickle")
-
 
 class TestProfiling:
     def test_profile_attributes_most_of_busy_time(self, tmp_path):
@@ -206,3 +194,20 @@ class TestProfiling:
         profile = load_profile_summary(profile_dir)
         assert profile is not None and profile["files"] == 1
         assert profile["functions"]
+
+    def test_inline_run_iter_writes_one_profile_dump(self, tmp_path):
+        profile_dir = tmp_path / "prof"
+        runner = ParallelRunner(workers=1, profile_dir=str(profile_dir))
+        pairs = list(runner.run_iter(_plan(trials=4, name="iter-prof")))
+        assert [index for index, _ in pairs] == [0, 1, 2, 3]
+        assert sorted(os.listdir(profile_dir)) == ["inline-iter-prof.pstats"]
+
+    def test_inline_run_iter_brackets_telemetry(self, tmp_path):
+        tele_path = str(tmp_path / "telemetry.jsonl")
+        tele = TelemetryWriter(tele_path)
+        runner = ParallelRunner(workers=1, telemetry=tele)
+        list(runner.run_iter(_plan(trials=3, name="iter-tele")))
+        tele.close()
+        summary = summarize_telemetry(tele_path)
+        assert summary["consistent"] is True
+        assert [run["label"] for run in summary["runs"]] == ["iter-tele"]

@@ -6,8 +6,8 @@ Three regression suites:
   original ``ExecutionResult`` field for field, for **every** registered
   protocol × adversary combination (incompatible combos must fail
   identically on both paths, i.e. before packing is ever reached);
-* ``transport="compact"`` and ``transport="pickle"`` produce identical
-  results through both runners, any worker count;
+* pooled runs (which ship compact summaries) produce results identical
+  to inline runs (which ship nothing), through both runners;
 * the compact payload is ≥5x smaller than the full pickle on a
   signature-heavy plan, and non-terminating parties stay *absent* from
   ``finish_rounds`` (never ``None``) through the compact path.
@@ -173,30 +173,26 @@ def _mixed_plan(trials=4):
 
 
 class TestTransportEquivalence:
-    def test_compact_equals_pickle_equals_serial(self):
+    def test_compact_pooled_equals_serial(self):
         plan = _mixed_plan()
         serial = ParallelRunner(workers=1).run(plan)
-        compact = ParallelRunner(workers=2, chunk_size=3).run(plan)
-        full = ParallelRunner(
-            workers=2, chunk_size=3, transport="pickle"
-        ).run(plan)
-        assert compact.results == serial.results
-        assert full.results == serial.results
-        assert compact.transport == "compact"
-        assert full.transport == "pickle"
+        pooled = ParallelRunner(workers=2, chunk_size=3).run(plan)
+        assert pooled.results == serial.results
+        assert pooled.workers == 2
 
-    def test_adaptive_compact_equals_pickle(self):
+    def test_adaptive_pooled_equals_inline(self):
         plan = _mixed_plan()
-        kwargs = dict(workers=2, batch_size=3, early_stop=False)
-        compact = AdaptiveRunner(**kwargs).run(plan, 0.5)
-        full = AdaptiveRunner(transport="pickle", **kwargs).run(plan, 0.5)
-        assert compact.results == full.results
-        assert [r is not None for r in compact.results] == [True] * len(plan)
+        kwargs = dict(batch_size=3, early_stop=False)
+        inline = AdaptiveRunner(workers=1, **kwargs).run(plan, 0.5)
+        pooled = AdaptiveRunner(workers=2, **kwargs).run(plan, 0.5)
+        assert pooled.results == inline.results
+        assert [r is not None for r in pooled.results] == [True] * len(plan)
 
     def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="transport"):
+        # One wire format: the runners take no transport argument at all.
+        with pytest.raises(TypeError, match="transport"):
             ParallelRunner(transport="msgpack")
-        with pytest.raises(ValueError, match="transport"):
+        with pytest.raises(TypeError, match="transport"):
             AdaptiveRunner(transport="json")
 
 
@@ -224,9 +220,9 @@ class TestPayloadReduction:
 class TestNonTerminatingFinishRounds:
     """Satellite regression: a party that never finishes is *absent*
     from ``finish_rounds`` — never mapped to ``None`` — and the compact
-    path preserves that exactly, on both metrics code paths."""
+    path preserves that exactly, on both simulator delivery paths."""
 
-    def _stuck_spec(self):
+    def _stuck_spec(self, **faults):
         return TrialSpec(
             protocol="_test_stubborn",
             inputs=(1, 0, 1, 1),
@@ -236,20 +232,24 @@ class TestNonTerminatingFinishRounds:
             seed=5,
             session="wire-stuck",
             max_rounds=64,
+            **faults,
         )
 
-    def test_compact_and_legacy_agree_on_absent_parties(self):
+    def test_absent_parties_survive_both_delivery_paths(self):
         spec = self._stuck_spec()
-        modern = run_trial(spec)
-        legacy = run_trial(spec, legacy_metrics=True)
-        assert 3 in modern.corrupted
-        for result in (modern, legacy):
+        # A zero-rate loss plan routes every message through the fault
+        # injector's delivery loop without dropping any of them.
+        faulty_spec = self._stuck_spec(faults="lossy", fault_params={"rate": 0.0})
+        plain = run_trial(spec)
+        faulty = run_trial(faulty_spec)
+        assert 3 in plain.corrupted
+        for result in (plain, faulty):
             assert 3 not in result.finish_rounds
             assert 3 not in result.outputs
             assert None not in result.finish_rounds.values()
             assert sorted(result.finish_rounds) == [0, 1, 2]
-        assert modern.finish_rounds == legacy.finish_rounds
-        for result in (modern, legacy):
+        assert plain.finish_rounds == faulty.finish_rounds
+        for result in (plain, faulty):
             rebuilt = TrialSummary.pack(result).unpack(spec)
             assert rebuilt == result
             assert 3 not in rebuilt.finish_rounds
