@@ -2,10 +2,11 @@
 """A guided, fully-traced walk through one generalized FM iteration.
 
 Runs a single Π_iter^5 (3-round Prox_5 with the coin in round 3, t < n/2)
-with the message transcript recorder attached, then prints the complete
-round-by-round timeline: input shares in round 1, quorum signatures and
-ω-shares in round 2, the parallel prox ∥ coin envelope in round 3 — the
-paper's §3.2 "expansion / coin-flip / extraction" pipeline made visible.
+with a transcript ``Tracer`` attached as a simulator observer, then prints
+the complete round-by-round timeline: input shares in round 1, quorum
+signatures and ω-shares in round 2, the parallel prox ∥ coin envelope in
+round 3 — the paper's §3.2 "expansion / coin-flip / extraction" pipeline
+made visible.
 
 Run:  python examples/traced_iteration.py
 """
@@ -43,7 +44,7 @@ def main() -> None:
         crypto=CryptoSuite.ideal(5, 2, random.Random(42)),
         seed=4,
         session="traced",
-        tracer=tracer,
+        observers=(tracer,),
     )
     result = simulator.run(iteration_program, inputs)
 

@@ -116,6 +116,47 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_int_list(text: str) -> List[int]:
+    values = _parse_int_list(text)
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(
+            f"need a comma-separated list of ints >= 1, got {text!r}"
+        )
+    return values
+
+
+def _budget_error(t: int, n: int, regime: str) -> Optional[str]:
+    """Why corruption budget ``t`` does not fit ``n`` parties, if it doesn't.
+
+    ``regime`` is the bound the protocol tolerates: ``n``, ``n/2`` or
+    ``n/3``.
+    """
+    divisor = int(regime.partition("/")[2] or 1)
+    if 0 <= t and divisor * t < n:
+        return None
+    return f"--t must satisfy 0 <= t < {regime}, got t={t} with n={n} parties"
+
+
+def _run_input_error(args: argparse.Namespace, victims: List[int]) -> Optional[str]:
+    """Why ``repro run``'s inputs, budget or victims are unusable, if so."""
+    inputs, t = args.inputs, args.t
+    n = len(inputs)
+    binary = args.protocol in PROTOCOLS
+    problem = _budget_error(t, n, PROTOCOLS[args.protocol][1] if binary else "n")
+    if problem is not None:
+        return problem
+    if binary and any(bit not in (0, 1) for bit in inputs):
+        return f"--inputs must be bits (0 or 1) for {args.protocol}, got {inputs}"
+    if args.adversary == "none":
+        return None
+    outside = [pid for pid in victims if not 0 <= pid < n]
+    if outside:
+        return f"--victims names parties {outside} outside 0..{n - 1}"
+    if len(set(victims)) > t:
+        return f"--victims corrupts {len(set(victims))} parties, budget is t={t}"
+    return None
+
+
 def _build_adversary(name: str, victims: List[int], factory) -> Optional[Adversary]:
     if name == "none":
         return None
@@ -143,6 +184,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.adversary == "straddle":
         args.adversary = "straddle13" if args.protocol == "one_third" else "straddle12"
     victims = args.victims or list(range(n - t, n))
+    problem = _run_input_error(args, victims)
+    if problem is not None:
+        print(f"repro run: {problem}", file=sys.stderr)
+        return 2
     adversary = _build_adversary(args.adversary, victims, factory)
     faults = None
     if args.faults:
@@ -169,19 +214,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    tracer = None
+    tracers = []
     memory_sink = None
     jsonl_sink = None
-    if args.trace or args.trace_jsonl:
+    if args.trace:
         from .network.trace import MemoryTraceSink
 
-        sinks = []
-        if args.trace:
-            memory_sink = MemoryTraceSink()
-            sinks.append(memory_sink)
-        if args.trace_jsonl:
-            from .obs import FanoutSink, JsonlTraceSink
+        memory_sink = MemoryTraceSink()
+        tracers.append(Tracer(memory_sink))
+    if args.trace_jsonl:
+        from .obs import JsonlTraceSink
 
+        try:
             jsonl_sink = JsonlTraceSink(
                 args.trace_jsonl,
                 meta={
@@ -194,8 +238,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     "session": f"cli{args.seed}",
                 },
             )
-            sinks.append(jsonl_sink)
-        tracer = Tracer(sinks[0] if len(sinks) == 1 else FanoutSink(sinks))
+        except OSError as error:
+            print(f"repro run: cannot write --trace-jsonl: {error}", file=sys.stderr)
+            return 2
+        tracers.append(Tracer(jsonl_sink))
     import random as _random
 
     simulator = SyncSimulator(
@@ -205,13 +251,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         adversary=adversary,
         seed=args.seed,
         session=f"cli{args.seed}",
-        tracer=tracer,
         faults=faults,
+        observers=tracers,
     )
     try:
         result = simulator.run(factory, inputs)
     finally:
-        if tracer is not None:
+        for tracer in tracers:
             tracer.close()
     print(f"protocol   : {args.protocol} (kappa={args.kappa})")
     print(f"inputs     : {inputs}")
@@ -1289,6 +1335,10 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
 
     queues = [queue.split("+") if queue else [] for queue in args.queues.split(";")]
     n = len(queues)
+    problem = _budget_error(args.t, n, "n/3" if args.regime == "one_third" else "n/2")
+    if problem is not None:
+        print(f"repro ledger: {problem}", file=sys.stderr)
+        return 2
     program = lambda ctx, cmds: replicated_log_program(
         ctx, cmds, num_slots=args.slots, kappa=args.kappa,
         regime=args.regime, proposer=args.proposer,
@@ -1333,7 +1383,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(PROTOCOLS) + ["dolev_strong"],
         default="one_third",
     )
-    run_parser.add_argument("--kappa", type=int, default=8)
+    run_parser.add_argument("--kappa", type=_positive_int, default=8)
     run_parser.add_argument(
         "--inputs", type=_parse_int_list, default=[1, 0, 1, 0],
         help="comma-separated bits, one per party",
@@ -1420,7 +1470,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--protocol", choices=["one_third", "one_half"], default="one_third"
     )
-    sweep_parser.add_argument("--kappas", type=_parse_int_list, default=[1, 2, 4])
+    sweep_parser.add_argument("--kappas", type=_positive_int_list, default=[1, 2, 4])
     sweep_parser.add_argument("--trials", type=_positive_int, default=100)
     sweep_parser.add_argument("--seed", type=int, default=0)
     # The sweep always runs on ideal signatures; these fill in the plan
@@ -1437,7 +1487,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--protocol", choices=["one_third", "one_half", "both"], default="both"
     )
     bench_parser.add_argument(
-        "--kappas", type=_parse_int_list, default=[1, 2, 4, 6, 8]
+        "--kappas", type=_positive_int_list, default=[1, 2, 4, 6, 8]
     )
     bench_parser.add_argument("--trials", type=_positive_int, default=300)
     bench_parser.add_argument(
@@ -1613,8 +1663,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-replica command queues: ';' separates replicas, "
         "'+' separates commands",
     )
-    ledger_parser.add_argument("--slots", type=int, default=2)
-    ledger_parser.add_argument("--kappa", type=int, default=8)
+    ledger_parser.add_argument("--slots", type=_positive_int, default=2)
+    ledger_parser.add_argument("--kappa", type=_positive_int, default=8)
     ledger_parser.add_argument(
         "--regime", choices=["one_third", "one_half"], default="one_third"
     )

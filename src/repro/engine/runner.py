@@ -224,12 +224,9 @@ def predeal_suites(
     return [(key, suite) for key, suite in dealt.items()]
 
 
-def run_trial(
-    spec: TrialSpec,
-    tracer: Optional[Tracer] = None,
-    collector: Optional[MetricsRegistry] = None,
-) -> ExecutionResult:
-    """Execute one trial in this process (suite cached per-process)."""
+def run_trial(spec: TrialSpec, observers: Sequence[Any] = ()) -> ExecutionResult:
+    """Execute one trial in this process (suite cached per-process),
+    watched by simulator ``observers`` that never change the result."""
     factory = build_protocol_factory(spec.protocol, spec.param_dict)
     adversary = build_adversary(spec.adversary, spec.adversary_param_dict, factory)
     simulator = SyncSimulator(
@@ -241,9 +238,8 @@ def run_trial(
         session=spec.session,
         max_rounds=spec.max_rounds,
         collect_signatures=spec.collect_signatures,
-        tracer=tracer,
         faults=build_fault_plan(spec.faults, spec.fault_param_dict),
-        collector=collector,
+        observers=observers,
     )
     return simulator.run(factory, list(spec.inputs))
 
@@ -252,9 +248,11 @@ def run_traced_trial(
     spec: TrialSpec,
     trace_dir: str,
     index: int,
-    collector: Optional[MetricsRegistry] = None,
+    observers: Sequence[Any] = (),
 ) -> ExecutionResult:
     """Run one trial with a streaming per-trial trace attached.
+
+    The trace's ``Tracer`` observes first, then ``observers``.
 
     The trace lands in ``trace_dir`` under :func:`trace_filename`
     (``trial-00042.trace.jsonl``), headed with enough metadata to
@@ -283,7 +281,7 @@ def run_traced_trial(
     sink = JsonlTraceSink(os.path.join(trace_dir, trace_filename(index)), meta=meta)
     tracer = Tracer(sink)
     try:
-        result = run_trial(spec, tracer=tracer, collector=collector)
+        result = run_trial(spec, (tracer, *observers))
     except BaseException:
         tracer.close()
         try:
@@ -300,18 +298,18 @@ def run_measured_trial(
     trace_dir: Optional[str] = None,
     index: int = 0,
 ) -> Tuple[ExecutionResult, MetricsRegistry]:
-    """Run one trial with a fresh metrics collector attached.
+    """Run one trial with a fresh metrics registry observing it.
 
     Returns the execution result plus its finalized per-trial
-    :class:`~repro.obs.metrics.MetricsRegistry`.  The collector hook
-    never consumes randomness, so the result is bit-identical to
+    :class:`~repro.obs.metrics.MetricsRegistry`.  Observers never
+    consume randomness, so the result is bit-identical to
     :func:`run_trial` for the same spec.
     """
     registry = MetricsRegistry()
     if trace_dir is not None:
-        result = run_traced_trial(spec, trace_dir, index, collector=registry)
+        result = run_traced_trial(spec, trace_dir, index, (registry,))
     else:
-        result = run_trial(spec, collector=registry)
+        result = run_trial(spec, (registry,))
     registry.finalize_trial(result)
     return result, registry
 

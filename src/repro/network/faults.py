@@ -217,6 +217,16 @@ class _InFlight:
     sender_honest: bool
 
 
+#: :class:`FaultCounts` field for each non-``deliver`` routing verdict.
+_TALLY_FIELDS = {
+    "loss": "lost",
+    "delay": "delayed",
+    "partition": "partitioned",
+    "offline": "offline",
+    "stale": "stale",
+}
+
+
 @dataclass
 class FaultCounts:
     """Injection tallies for one execution (telemetry/benchmark summary)."""
@@ -233,6 +243,11 @@ class FaultCounts:
     def suppressed(self) -> int:
         """Messages the network ate outright (everything but delays)."""
         return self.lost + self.partitioned + self.offline + self.stale
+
+    def tally(self, kind: str) -> None:
+        """Count one message the injector did not deliver on time."""
+        name = _TALLY_FIELDS[kind]
+        setattr(self, name, getattr(self, name) + 1)
 
 
 class FaultInjector:

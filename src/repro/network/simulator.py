@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..adversary.base import Adversary, AdversaryEnv, RoundDecision, RoundView
 from ..crypto.keys import CryptoSuite
@@ -24,7 +24,6 @@ from .faults import FaultCounts, FaultInjector, FaultPlan
 from .messages import Outbox, normalize_outbox
 from .metrics import RunMetrics, count_signatures
 from .party import Context, ProgramFactory
-from .trace import Tracer
 
 __all__ = ["ExecutionResult", "SyncSimulator", "run_protocol"]
 
@@ -74,7 +73,17 @@ class ExecutionResult:
 
 
 class SyncSimulator:
-    """A configured synchronous network ready to run party programs."""
+    """A configured synchronous network ready to run party programs.
+
+    ``observers`` (e.g. :class:`~repro.network.trace.Tracer`,
+    :class:`~repro.obs.metrics.MetricsRegistry`) are duck-typed, so
+    ``network`` never imports ``obs``, and are told, in delivery order,
+    ``on_corruption(round_index, pid)`` once per newly corrupted party
+    (initial corruptions in round 1), ``on_message(round_index, sender,
+    recipient, payload, sender_honest)`` per delivered message and
+    ``on_fault(round_index, kind, sender, recipient, detail)`` per
+    injected fault.  They never change the run.
+    """
 
     def __init__(
         self,
@@ -85,10 +94,9 @@ class SyncSimulator:
         seed: int = 0,
         session: str = "run",
         max_rounds: int = 4096,
-        tracer: Optional[Tracer] = None,
         collect_signatures: bool = True,
         faults: Optional[FaultPlan] = None,
-        collector: Optional[Any] = None,
+        observers: Sequence[Any] = (),
     ) -> None:
         if crypto.num_parties != num_parties:
             raise SimulationError(
@@ -104,7 +112,6 @@ class SyncSimulator:
         self.seed = seed
         self.session = session
         self.max_rounds = max_rounds
-        self.tracer = tracer
         # collect_signatures=False skips the per-payload signature walk
         # entirely (message/round tallies stay exact, signature tallies
         # read 0) — the right setting for agreement-rate sweeps, where
@@ -114,12 +121,7 @@ class SyncSimulator:
         # crash/membership faults applied at delivery time.  None keeps
         # the delivery path byte-identical to the pre-fault-layer code.
         self.faults = faults
-        # Protocol-metrics collector (repro.obs.metrics.MetricsRegistry,
-        # duck-typed here because network must not import obs): gets
-        # on_message()/on_fault() callbacks from the delivery path, same
-        # seam as the tracer.  collector=None keeps delivery byte-identical
-        # to the pre-metrics code.
-        self.collector = collector
+        self.observers = tuple(observers)
         # Per-run injection tallies of the most recent run() with faults.
         self.last_fault_counts: Optional[FaultCounts] = None
 
@@ -187,6 +189,8 @@ class SyncSimulator:
                     raise
 
         metrics = RunMetrics()
+        observers = self.observers
+        announced: Set[int] = set()
         round_index = 0
         while self._honest_unfinished(outputs, corrupted):
             round_index += 1
@@ -208,16 +212,16 @@ class SyncSimulator:
                 )
             )
             corrupted = self._apply_decision(decision, corrupted, normalized)
-            if self.tracer is not None:
-                self.tracer.record_corruptions(round_index, corrupted)
+            if observers:
+                for pid in sorted(corrupted - announced):
+                    for observer in observers:
+                        observer.on_corruption(round_index, pid)
+                announced = corrupted
 
             inboxes: Dict[int, Dict[int, Any]] = {pid: {} for pid in range(n)}
-            if injector is not None:
-                self._deliver_faulty(
-                    round_index, normalized, corrupted, inboxes, metrics, injector
-                )
-            else:
-                self._deliver(round_index, normalized, corrupted, inboxes, metrics)
+            self._deliver(
+                round_index, normalized, corrupted, inboxes, metrics, injector
+            )
 
             self.adversary.observe(
                 round_index, {pid: inboxes[pid] for pid in corrupted}
@@ -255,19 +259,23 @@ class SyncSimulator:
         corrupted: Set[int],
         inboxes: Dict[int, Dict[int, Any]],
         metrics: RunMetrics,
+        injector: Optional[FaultInjector],
     ) -> None:
-        """Deliver one round's messages and tally metrics (the hot loop).
+        """Deliver one round's messages, tally metrics, notify observers.
 
-        Restructured for throughput: the round's tally object is fetched
-        once, the tracer check is hoisted out of the per-message loop, and
-        the signature walk runs once per distinct payload *object* per
-        sender — a sender multicasting one payload to n recipients costs
-        one walk, not n.  Tallies are bit-identical to a per-message
-        reference walk (pinned by ``tests/network/test_metrics.py``).
+        Per sender, the injector (if any) routes each message, arrivals
+        are tallied with one signature walk per distinct payload object
+        (bit-identical to a per-message walk, pinned by
+        ``tests/network/test_metrics.py``), and observers then see the
+        outbox in order.  A no-op plan draws no randomness, so it matches
+        ``injector=None`` exactly (``tests/chaos/test_faults.py``).
+        Delayed messages due this round drain last.
         """
-        tracer = self.tracer
-        collector = self.collector
+        observers = self.observers
         collect = self.collect_signatures
+        if injector is not None:
+            counts = injector.counts
+            offline = injector.offline(round_index)
         stats = None
         for sender in range(self.num_parties):
             outbox = normalized[sender]
@@ -276,169 +284,95 @@ class SyncSimulator:
             if stats is None:
                 stats = metrics.round_stats(round_index)
             sender_honest = sender not in corrupted
-            messages = 0
+            delivered = outbox
+            dropped: Dict[int, Tuple[str, Optional[int]]] = {}
+            if injector is not None:
+                delivered = {}
+                for recipient, payload in outbox.items():
+                    kind, delay = injector.route(
+                        round_index, sender, recipient, offline
+                    )
+                    if kind == "deliver":
+                        delivered[recipient] = payload
+                        continue
+                    if kind == "delay":
+                        injector.defer(
+                            round_index, delay, sender, recipient, payload,
+                            sender_honest,
+                        )
+                    counts.tally(kind)
+                    dropped[recipient] = (kind, delay if kind == "delay" else None)
+                counts.delivered += len(delivered)
             signatures = 0
             if collect:
                 # Payloads are alive for the whole round, so id() keys
                 # are stable here.
                 walked: Dict[int, int] = {}
-                for recipient, payload in outbox.items():
+                for recipient, payload in delivered.items():
                     inboxes[recipient][sender] = payload
                     key = id(payload)
                     count = walked.get(key)
                     if count is None:
                         count = walked[key] = count_signatures(payload)
                     signatures += count
-                    messages += 1
             else:
-                for recipient, payload in outbox.items():
+                for recipient, payload in delivered.items():
                     inboxes[recipient][sender] = payload
-                    messages += 1
             if sender_honest:
-                stats.honest_messages += messages
+                stats.honest_messages += len(delivered)
                 stats.honest_signatures += signatures
             else:
-                stats.corrupt_messages += messages
+                stats.corrupt_messages += len(delivered)
                 stats.corrupt_signatures += signatures
-            if tracer is not None:
+            if observers:
                 for recipient, payload in outbox.items():
-                    tracer.record_message(
-                        round_index, sender, recipient, payload, sender_honest
-                    )
-            if collector is not None:
-                for recipient, payload in outbox.items():
-                    collector.on_message(
-                        round_index, sender, recipient, payload, sender_honest
-                    )
-
-    def _deliver_faulty(
-        self,
-        round_index: int,
-        normalized: Dict[int, Dict[int, Any]],
-        corrupted: Set[int],
-        inboxes: Dict[int, Dict[int, Any]],
-        metrics: RunMetrics,
-        injector: FaultInjector,
-    ) -> None:
-        """Deliver one round's messages through the fault injector.
-
-        Same tally structure as :meth:`_deliver` (per-sender signature
-        dedup, honesty split), restricted to messages that actually
-        arrive: suppressed messages tally nothing, delayed messages
-        tally in the round they arrive, with sender honesty frozen at
-        send time.  With a no-op plan every message routes ``deliver``
-        without consuming randomness, so tallies match :meth:`_deliver`
-        exactly — pinned by ``tests/chaos/test_faults.py``.
-        """
-        tracer = self.tracer
-        collector = self.collector
-        collect = self.collect_signatures
-        counts = injector.counts
-        offline = injector.offline(round_index)
-        stats = None
-        for sender in range(self.num_parties):
-            outbox = normalized[sender]
-            if not outbox:
-                continue
-            if stats is None:
-                stats = metrics.round_stats(round_index)
-            sender_honest = sender not in corrupted
-            messages = 0
-            signatures = 0
-            walked: Dict[int, int] = {}
-            for recipient, payload in outbox.items():
-                kind, delay = injector.route(round_index, sender, recipient, offline)
-                if kind == "deliver":
-                    inboxes[recipient][sender] = payload
-                    messages += 1
-                    counts.delivered += 1
-                    if collect:
-                        key = id(payload)
-                        count = walked.get(key)
-                        if count is None:
-                            count = walked[key] = count_signatures(payload)
-                        signatures += count
-                    if tracer is not None:
-                        tracer.record_message(
-                            round_index, sender, recipient, payload, sender_honest
-                        )
-                    if collector is not None:
-                        collector.on_message(
-                            round_index, sender, recipient, payload, sender_honest
-                        )
-                    continue
-                if kind == "delay":
-                    injector.defer(
-                        round_index, delay, sender, recipient, payload, sender_honest
-                    )
-                    counts.delayed += 1
-                elif kind == "loss":
-                    counts.lost += 1
-                elif kind == "partition":
-                    counts.partitioned += 1
-                else:
-                    counts.offline += 1
-                if tracer is not None:
-                    tracer.record_fault(
-                        round_index, kind, sender, recipient,
-                        delay if kind == "delay" else None,
-                    )
-                if collector is not None:
-                    collector.on_fault(round_index, kind)
-            if sender_honest:
-                stats.honest_messages += messages
-                stats.honest_signatures += signatures
-            else:
-                stats.corrupt_messages += messages
-                stats.corrupt_signatures += signatures
+                    fault = dropped.get(recipient)
+                    if fault is None:
+                        for observer in observers:
+                            observer.on_message(
+                                round_index, sender, recipient, payload,
+                                sender_honest,
+                            )
+                    else:
+                        for observer in observers:
+                            observer.on_fault(
+                                round_index, fault[0], sender, recipient, fault[1]
+                            )
+        if injector is None:
+            return
         # Drain delayed messages due this round, freshest send first.  A
         # copy whose (sender, recipient) inbox slot is already taken —
         # by a current-round delivery or a fresher delayed copy — is
         # discarded as stale; a copy whose recipient is offline now, or
         # that an active partition still separates, is dropped late.
         for entry in injector.due(round_index):
+            sender, recipient = entry.sender, entry.recipient
             kind = None
-            if entry.recipient in offline:
+            if recipient in offline:
                 kind = "offline"
-            elif self.faults.partitioned(round_index, entry.sender, entry.recipient):
+            elif injector.plan.partitioned(round_index, sender, recipient):
                 kind = "partition"
-            elif entry.sender in inboxes[entry.recipient]:
+            elif sender in inboxes[recipient]:
                 kind = "stale"
             if kind is not None:
-                if kind == "offline":
-                    counts.offline += 1
-                elif kind == "partition":
-                    counts.partitioned += 1
-                else:
-                    counts.stale += 1
-                if tracer is not None:
-                    tracer.record_fault(
-                        round_index, kind, entry.sender, entry.recipient, None
-                    )
-                if collector is not None:
-                    collector.on_fault(round_index, kind)
+                counts.tally(kind)
+                for observer in observers:
+                    observer.on_fault(round_index, kind, sender, recipient, None)
                 continue
-            inboxes[entry.recipient][entry.sender] = entry.payload
+            inboxes[recipient][sender] = entry.payload
             counts.delivered_late += 1
             if stats is None:
                 stats = metrics.round_stats(round_index)
-            signature_count = (
-                count_signatures(entry.payload) if collect else 0
-            )
+            signature_count = count_signatures(entry.payload) if collect else 0
             if entry.sender_honest:
                 stats.honest_messages += 1
                 stats.honest_signatures += signature_count
             else:
                 stats.corrupt_messages += 1
                 stats.corrupt_signatures += signature_count
-            if tracer is not None:
-                tracer.record_message(
-                    round_index, entry.sender, entry.recipient, entry.payload,
-                    entry.sender_honest,
-                )
-            if collector is not None:
-                collector.on_message(
-                    round_index, entry.sender, entry.recipient, entry.payload,
+            for observer in observers:
+                observer.on_message(
+                    round_index, sender, recipient, entry.payload,
                     entry.sender_honest,
                 )
 
@@ -493,7 +427,6 @@ def run_protocol(
     crypto: Optional[CryptoSuite] = None,
     max_rounds: int = 4096,
     faults: Optional[FaultPlan] = None,
-    collector: Optional[Any] = None,
 ) -> ExecutionResult:
     """One-call convenience wrapper: deal ideal keys, build a simulator, run.
 
@@ -515,6 +448,5 @@ def run_protocol(
         session=session,
         max_rounds=max_rounds,
         faults=faults,
-        collector=collector,
     )
     return simulator.run(factory, inputs)

@@ -1,10 +1,11 @@
 """Execution tracing: record and render full message transcripts.
 
-A :class:`Tracer` attached to :class:`~repro.network.simulator.SyncSimulator`
-records every delivered message (round, sender, recipient, payload, sender
-honesty at send time) plus corruption events.  Transcripts render as a
-round-by-round ASCII timeline — handy for debugging a protocol, teaching
-the FM iteration structure, or eyeballing what an adversary actually did.
+A :class:`Tracer` is a :class:`~repro.network.simulator.SyncSimulator`
+observer: it records every delivered message (round, sender, recipient,
+payload, sender honesty at send time) plus corruption and fault events.
+Transcripts render as a round-by-round ASCII timeline — handy for
+debugging a protocol, teaching the FM iteration structure, or eyeballing
+what an adversary actually did.
 
 Payloads are summarized, not deep-copied: tracing a 2^64-slot Proxcensus
 must not blow up memory, so each payload is reduced to a short structural
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .faults import FaultEvent
 from .messages import PARALLEL_KEY
@@ -116,9 +117,9 @@ class TraceSink:
 
     The simulator-facing :class:`Tracer` reduces payloads to
     :class:`TraceEvent` records and corruption pairs, then hands them
-    here one at a time.  A sink may accumulate them (``MemoryTraceSink``),
-    stream them to disk (:class:`repro.obs.JsonlTraceSink`), or fan them
-    out to several sinks at once (:class:`repro.obs.FanoutSink`).
+    here one at a time.  A sink may accumulate them (``MemoryTraceSink``)
+    or stream them to disk (:class:`repro.obs.JsonlTraceSink`); to feed
+    two sinks, attach two tracers as simulator observers.
     """
 
     def record_event(self, event: TraceEvent) -> None:
@@ -228,7 +229,7 @@ class MemoryTraceSink(TraceSink):
 
 
 class Tracer:
-    """Reduces simulator deliveries to trace records and feeds a sink.
+    """Simulator observer that reduces a run to trace records for a sink.
 
     ``Tracer()`` keeps the historical behavior exactly: records go to a
     fresh :class:`MemoryTraceSink`, and ``events`` / ``corruptions`` /
@@ -240,9 +241,8 @@ class Tracer:
 
     def __init__(self, sink: Optional[TraceSink] = None) -> None:
         self.sink: TraceSink = MemoryTraceSink() if sink is None else sink
-        self._known_corrupted: Set[int] = set()
 
-    def record_message(
+    def on_message(
         self, round_index: int, sender: int, recipient: int, payload: Any,
         sender_honest: bool,
     ) -> None:
@@ -258,12 +258,11 @@ class Tracer:
             )
         )
 
-    def record_corruptions(self, round_index: int, corrupted: Set[int]) -> None:
-        for pid in sorted(corrupted - self._known_corrupted):
-            self.sink.record_corruption(round_index, pid)
-            self._known_corrupted.add(pid)
+    def on_corruption(self, round_index: int, pid: int) -> None:
+        """Record one party's corruption (the simulator reports each once)."""
+        self.sink.record_corruption(round_index, pid)
 
-    def record_fault(
+    def on_fault(
         self, round_index: int, kind: str, sender: int, recipient: int,
         detail: Optional[int] = None,
     ) -> None:

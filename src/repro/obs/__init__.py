@@ -11,7 +11,7 @@ Three pieces share one sink abstraction
 (:class:`repro.network.trace.TraceSink`):
 
 * :class:`JsonlTraceSink` streams trace records to disk in bounded
-  memory; :class:`FanoutSink` tees records to several sinks at once.
+  memory.
 * :func:`load_trace` / :func:`filter_trace` / :func:`trace_metrics`
   replay a streamed file back into the in-memory renderer
   (``repro trace``).
@@ -52,7 +52,6 @@ from .replay import (
 from .sinks import (
     TRACE_RECORD_TYPES,
     TRACE_SCHEMA,
-    FanoutSink,
     JsonlTraceSink,
     ObsFormatError,
     trace_filename,
@@ -74,7 +73,6 @@ __all__ = [
     "TELEMETRY_SCHEMA",
     "TRACE_RECORD_TYPES",
     "TRACE_SCHEMA",
-    "FanoutSink",
     "Histogram",
     "JsonlTraceSink",
     "LoadedTrace",

@@ -9,12 +9,12 @@ registries collected by any number of workers in any completion order
 fold to the same totals, and a canonical **varint pack/unpack** so
 packed registries ride the engine's compact ``ChunkSummary`` transport.
 
-Collection happens inside the simulator's delivery seam — the same hook
-pattern as ``Tracer`` / ``FaultInjector``: ``SyncSimulator(collector=…)``
-calls :meth:`MetricsRegistry.on_message` / :meth:`~MetricsRegistry.on_fault`
-per delivered message / injected fault, and ``collector=None`` leaves the
-delivery path byte-identical to the pre-metrics code.  Everything a
-delivered message contributes is derived from its *trace summary* (the
+Collection happens through the simulator's observer seam, beside
+``Tracer``: ``SyncSimulator(observers=(registry,))`` calls
+:meth:`MetricsRegistry.on_message` / :meth:`~MetricsRegistry.on_fault`
+per delivered message / injected fault, and a run without the registry
+attached executes identically.  Everything a delivered message
+contributes is derived from its *trace summary* (the
 ``summarize_payload`` string and ``count_signatures`` tally already
 stamped on every :class:`~repro.network.trace.TraceEvent`), so the same
 metrics can be recomputed from a replayed JSONL trace —
@@ -363,14 +363,14 @@ class Histogram:
 class MetricsRegistry:
     """Deterministic counters + histograms over one or many trials.
 
-    The simulator-facing hooks (:meth:`on_message`, :meth:`on_fault`)
-    mirror the ``Tracer`` seam; the engine calls :meth:`finalize_trial`
-    once per execution to fold per-trial transients (coin rounds,
-    message/signature totals) and run-level outcomes (rounds to
-    decision, agreement, decided values) into the registry.  ``merge``
-    is commutative and associative over finalized registries, and
-    ``pack``/``unpack`` round-trip losslessly — both pinned by
-    hypothesis property tests.
+    The simulator observer hooks (:meth:`on_message`, :meth:`on_fault`,
+    :meth:`on_corruption`) are the ones ``Tracer`` implements; the
+    engine calls :meth:`finalize_trial` once per execution to fold
+    per-trial transients (coin rounds, message/signature totals) and
+    run-level outcomes (rounds to decision, agreement, decided values)
+    into the registry.  ``merge`` is commutative and associative over
+    finalized registries, and ``pack``/``unpack`` round-trip losslessly
+    — both pinned by hypothesis property tests.
     """
 
     __slots__ = (
@@ -416,7 +416,7 @@ class MetricsRegistry:
             hist = self.histograms[name] = Histogram(buckets)
         hist.observe(value)
 
-    # ── simulator delivery seam (Tracer-shaped hooks) ─────────────────
+    # ── simulator observer seam (same hooks as Tracer) ────────────────
 
     def on_message(
         self,
@@ -458,8 +458,18 @@ class MetricsRegistry:
             if "Signature" in class_name and "Share" not in class_name:
                 self.inc("sig_combine_ops", class_name, count)
 
-    def on_fault(self, round_index: int, kind: str) -> None:
+    def on_fault(
+        self,
+        round_index: int,
+        kind: str,
+        sender: int,
+        recipient: int,
+        detail: Optional[int],
+    ) -> None:
         self.inc("fault_hits", kind)
+
+    def on_corruption(self, round_index: int, pid: int) -> None:
+        """No metric counts corruptions as they happen."""
 
     def observe_delivery(
         self, round_index: int, summary: str, signatures: int, sender_honest: bool
@@ -708,7 +718,10 @@ def metrics_from_trace(
             event.round_index, event.summary, event.signatures, event.sender_honest
         )
     for fault in faults:
-        registry.on_fault(fault.round_index, fault.kind)
+        registry.on_fault(
+            fault.round_index, fault.kind, fault.sender, fault.recipient,
+            fault.detail,
+        )
     registry.finalize_delivery()
     return registry
 

@@ -163,10 +163,7 @@ def load_trace(path: str) -> LoadedTrace:
         raise ObsFormatError(
             f"{path}: no end footer — the trace was truncated mid-run"
         )
-    return LoadedTrace(
-        tracer=tracer, meta=meta, events=events, corruptions=corruptions,
-        faults=faults,
-    )
+    return LoadedTrace(tracer, meta, events, corruptions, faults)
 
 
 def filter_trace(

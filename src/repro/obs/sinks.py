@@ -28,7 +28,7 @@ execution writes one line per delivered message.
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Mapping, Optional, Sequence
+from typing import IO, Any, Mapping, Optional
 
 from ..network.faults import FaultEvent
 from ..network.trace import TraceEvent, TraceSink
@@ -36,7 +36,6 @@ from ..network.trace import TraceEvent, TraceSink
 __all__ = [
     "TRACE_SCHEMA",
     "TRACE_RECORD_TYPES",
-    "FanoutSink",
     "JsonlTraceSink",
     "ObsFormatError",
     "trace_filename",
@@ -146,27 +145,3 @@ class JsonlTraceSink(TraceSink):
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-
-class FanoutSink(TraceSink):
-    """Tee every record to several sinks (e.g. memory for rendering now
-    plus JSONL for replay later)."""
-
-    def __init__(self, sinks: Sequence[TraceSink]) -> None:
-        self.sinks = list(sinks)
-
-    def record_event(self, event: TraceEvent) -> None:
-        for sink in self.sinks:
-            sink.record_event(event)
-
-    def record_corruption(self, round_index: int, pid: int) -> None:
-        for sink in self.sinks:
-            sink.record_corruption(round_index, pid)
-
-    def record_fault(self, event: FaultEvent) -> None:
-        for sink in self.sinks:
-            sink.record_fault(event)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()

@@ -13,13 +13,14 @@ Three layers of guarantees:
   deterministically and survives a disk round trip.
 """
 
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import TrialPlan, run_trial
+from repro.engine import TrialPlan, run_traced_trial, run_trial
 from repro.network.trace import Tracer
 from repro.obs import (
     DELIVERY_METRIC_NAMES,
@@ -33,6 +34,7 @@ from repro.obs import (
     build_metrics_payload,
     load_metrics_artifact,
     metrics_from_trace,
+    trace_filename,
     validate_metrics_payload,
     write_metrics_artifact,
 )
@@ -207,6 +209,8 @@ _GRID = [
     ("threshold_coin", (None, None, None, None), 1, {"index": 0},
      "withhold_coin", {"victims": (3,), "preferred": 1}, None, None),
     ("ba_one_third", (0, 0, 1, 1), 1, {"kappa": 2},
+     "crash", {"victims": (3,)}, "degraded", {}),
+    ("ba_one_third", (0, 0, 1, 1), 1, {"kappa": 2},
      "crash", {"victims": (3,)}, "lossy", {"rate": 0.3}),
 ]
 
@@ -230,6 +234,31 @@ def _grid_specs(entry, trials=3):
     return plan.trials
 
 
+# sha256 of each trace file the ``degraded`` grid row writes over six
+# trials (delays, late arrivals, stale drops and losses among them).
+# Recorded before the two delivery loops were merged into one: the
+# interleaving of msg and fault records within a round must not move.
+_DEGRADED_TRACE_SHA256 = [
+    "7cb7f18c76b0bd862c83c43d838c2e1b2b943488d81560a7e52b3236f8f5823d",
+    "8f280b046a53e6be231202cc0e1ec3e4d0ad1986f8ca6be9ed91eab989ccbcc5",
+    "5bdd63f8b41e679b5ed861b80df7168f073b54987fe5a187926f6638f382343f",
+    "0bce862ff3b69657b497cb61fbc458608a942694eb9cf0e43ac54023bf6f9d9d",
+    "e788471db1a2c02e260acf7eddb808516bc02da58c7be9bb288eca58379ec81d",
+    "75aaf9aa724a2a8d20a67f559dab358f6e888cf2820c54f5c36f9280a5c8773d",
+]
+
+
+def test_faulted_trace_bytes_are_pinned(tmp_path):
+    degraded = next(entry for entry in _GRID if entry[6] == "degraded")
+    specs = _grid_specs(degraded, trials=len(_DEGRADED_TRACE_SHA256))
+    digests = []
+    for index, spec in enumerate(specs):
+        run_traced_trial(spec, str(tmp_path), index)
+        data = (tmp_path / trace_filename(index)).read_bytes()
+        digests.append(hashlib.sha256(data).hexdigest())
+    assert digests == _DEGRADED_TRACE_SHA256
+
+
 class TestLiveEqualsReplayed:
     @pytest.mark.parametrize(
         "entry", _GRID, ids=[f"{e[0]}-{e[4]}-{e[6]}" for e in _GRID]
@@ -238,7 +267,7 @@ class TestLiveEqualsReplayed:
         for spec in _grid_specs(entry):
             tracer = Tracer()
             collector = MetricsRegistry()
-            result = run_trial(spec, tracer=tracer, collector=collector)
+            result = run_trial(spec, (tracer, collector))
             collector.finalize_trial(result)
             replayed = metrics_from_trace(tracer.events, tracer.faults)
             assert collector.delivery_view() == replayed
@@ -247,13 +276,13 @@ class TestLiveEqualsReplayed:
         spec = _grid_specs(_GRID[0], trials=1)[0]
         bare = run_trial(spec)
         collector = MetricsRegistry()
-        observed = run_trial(spec, collector=collector)
+        observed = run_trial(spec, (collector,))
         assert observed == bare
         assert collector.counter_total("messages") > 0
 
     def test_round_message_labels_use_known_kinds(self):
         collector = MetricsRegistry()
-        result = run_trial(_grid_specs(_GRID[0], trials=1)[0], collector=collector)
+        result = run_trial(_grid_specs(_GRID[0], trials=1)[0], (collector,))
         collector.finalize_trial(result)
         labels = collector.labels("round_messages")
         assert labels
@@ -264,7 +293,7 @@ class TestLiveEqualsReplayed:
 
     def test_finalize_trial_rolls_up_outcomes(self):
         collector = MetricsRegistry()
-        result = run_trial(_grid_specs(_GRID[0], trials=1)[0], collector=collector)
+        result = run_trial(_grid_specs(_GRID[0], trials=1)[0], (collector,))
         collector.finalize_trial(result)
         assert collector.counter_total("trials") == 1
         rounds = collector.histograms["rounds_to_decision"]
@@ -278,7 +307,7 @@ class TestLiveEqualsReplayed:
         total = MetricsRegistry()
         for spec in _grid_specs(faulted, trials=4):
             collector = MetricsRegistry()
-            result = run_trial(spec, collector=collector)
+            result = run_trial(spec, (collector,))
             collector.finalize_trial(result)
             total.merge(collector)
         assert total.counter_total("fault_hits") > 0

@@ -2,7 +2,7 @@
 
 The tentpole property: for **every** registered protocol × adversary
 pair (the same sweep matrix as the transport losslessness tests), one
-execution teed to a memory sink and a JSONL sink renders byte-identically
+execution traced into a memory sink and a JSONL sink renders byte-identically
 through both paths — stream → :func:`load_trace` → ``render()`` equals
 ``MemoryTraceSink.render()`` with no exceptions.
 
@@ -20,7 +20,6 @@ from repro.engine.plan import TrialSpec
 from repro.network.trace import MemoryTraceSink, Tracer
 from repro.obs import (
     TRACE_SCHEMA,
-    FanoutSink,
     JsonlTraceSink,
     ObsFormatError,
     filter_trace,
@@ -68,13 +67,12 @@ class TestRoundTripProperty:
                 path = str(tmp_path / f"{protocol}-{adversary}.jsonl")
                 memory = MemoryTraceSink()
                 jsonl = JsonlTraceSink(path)
-                tracer = Tracer(FanoutSink([memory, jsonl]))
                 try:
-                    run_trial(spec, tracer=tracer)
+                    run_trial(spec, (Tracer(memory), Tracer(jsonl)))
                 except Exception:
-                    tracer.close()
+                    jsonl.close()
                     continue  # incompatible combo — nothing to compare
-                tracer.close()
+                jsonl.close()
                 loaded = load_trace(path)
                 assert loaded.tracer.render() == memory.render(), (
                     protocol, adversary,
@@ -91,7 +89,7 @@ class TestRoundTripProperty:
         spec = _spec("ba_one_third", "straddle13")
         path = str(tmp_path / "stats.jsonl")
         tracer = Tracer(JsonlTraceSink(path))
-        result = run_trial(spec, tracer=tracer)
+        result = run_trial(spec, (tracer,))
         tracer.close()
         replayed = trace_metrics(load_trace(path).tracer)
         live = result.metrics
@@ -159,7 +157,7 @@ class TestStrictRejection:
         with JsonlTraceSink(full) as sink:
             tracer = Tracer(sink)
             for i in range(5):
-                tracer.record_message(1, 0, i, {"v": i}, True)
+                tracer.on_message(1, 0, i, {"v": i}, True)
         lines = open(full, encoding="utf-8").read().splitlines()
         for keep in range(1, len(lines)):
             path = _write_lines(tmp_path, f"cut{keep}.jsonl", lines[:keep])
@@ -212,11 +210,11 @@ class TestStrictRejection:
 
 def _toy_tracer():
     tracer = Tracer(MemoryTraceSink())
-    tracer.record_message(1, 0, 1, {"v": 1}, True)
-    tracer.record_message(1, 3, 0, {"v": 9}, False)
-    tracer.record_message(2, 1, 2, {"v": 2}, True)
-    tracer.record_message(2, 0, 3, {"v": 2}, True)
-    tracer.record_corruptions(1, {3})
+    tracer.on_message(1, 0, 1, {"v": 1}, True)
+    tracer.on_message(1, 3, 0, {"v": 9}, False)
+    tracer.on_message(2, 1, 2, {"v": 2}, True)
+    tracer.on_message(2, 0, 3, {"v": 2}, True)
+    tracer.on_corruption(1, 3)
     return tracer
 
 
@@ -255,21 +253,21 @@ class TestFaultRecords:
 
         path = str(tmp_path / "faulty.jsonl")
         memory = MemoryTraceSink()
-        tracer = Tracer(FanoutSink([memory, JsonlTraceSink(path)]))
+        jsonl = JsonlTraceSink(path)
         simulator = SyncSimulator(
             num_parties=5,
             max_faulty=1,
             crypto=ideal_suite(5, 1),
             seed=9,
             session="fault-trace",
-            tracer=tracer,
+            observers=(Tracer(memory), Tracer(jsonl)),
             faults=FaultPlan(loss=0.25, delay=0.25, max_delay=2),
         )
         simulator.run(
             lambda ctx, value: ba_one_third_program(ctx, value, kappa=3),
             (1, 0, 1, 0, 1),
         )
-        tracer.close()
+        jsonl.close()
         return path, memory
 
     def test_fault_records_replay_byte_identically(self, tmp_path):
@@ -283,7 +281,7 @@ class TestFaultRecords:
         # writes exactly the old footer shape.
         path = str(tmp_path / "clean.jsonl")
         with JsonlTraceSink(path) as sink:
-            Tracer(sink).record_message(1, 0, 1, {"v": 1}, True)
+            Tracer(sink).on_message(1, 0, 1, {"v": 1}, True)
         footer = open(path, encoding="utf-8").read().splitlines()[-1]
         assert "faults" not in json.loads(footer)
 

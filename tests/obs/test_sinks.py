@@ -23,7 +23,6 @@ from repro.engine import ParallelRunner, TrialPlan, register_protocol, run_trace
 from repro.network.trace import MemoryTraceSink, TraceEvent, Tracer
 from repro.obs import (
     TRACE_SCHEMA,
-    FanoutSink,
     JsonlTraceSink,
     load_trace,
     trace_filename,
@@ -107,11 +106,11 @@ class TestFanout:
         path = str(tmp_path / "t.jsonl")
         memory = MemoryTraceSink()
         jsonl = JsonlTraceSink(path)
-        tracer = Tracer(FanoutSink([memory, jsonl]))
-        tracer.record_message(1, 0, 1, {"v": 1}, True)
-        tracer.record_message(1, 0, 2, {"v": 1}, True)
-        tracer.record_corruptions(1, {3})
-        tracer.close()
+        for tracer in (Tracer(memory), Tracer(jsonl)):
+            tracer.on_message(1, 0, 1, {"v": 1}, True)
+            tracer.on_message(1, 0, 2, {"v": 1}, True)
+            tracer.on_corruption(1, 3)
+            tracer.close()
 
         assert len(memory.events) == 2 and memory.corruptions == [(1, 3)]
         assert jsonl.events_written == 2 and jsonl.corruptions_written == 1
@@ -133,7 +132,7 @@ class TestBoundedMemory:
 
     def test_streaming_tracer_refuses_transcript_accessors(self, tmp_path):
         tracer = Tracer(JsonlTraceSink(str(tmp_path / "t.jsonl")))
-        tracer.record_message(1, 0, 1, {"v": 1}, True)
+        tracer.on_message(1, 0, 1, {"v": 1}, True)
         with pytest.raises(AttributeError):
             tracer.events
         with pytest.raises(AttributeError):

@@ -487,6 +487,38 @@ class TestCheck:
             assert rule_id in out
 
 
+class TestBadInput:
+    """Unusable arguments exit 2 with a message, never with a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--kappa", "0"],
+            ["run", "--inputs", "0,1,2,1"],
+            ["run", "--t", "5"],
+            ["run", "--adversary", "crash", "--victims", "9"],
+            ["run", "--adversary", "crash", "--victims", "0,1,2"],
+            ["run", "--trace-jsonl", "{missing}/x.jsonl"],
+            ["ledger", "--t", "5"],
+            ["ledger", "--slots", "0"],
+            ["ledger", "--kappa", "0"],
+            ["error-sweep", "--kappas", "0"],
+            ["bench", "--kappas", "0", "--trials", "5", "--workers", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_exits_2_with_message(self, argv, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        argv = [arg.replace("{missing}", missing) for arg in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exit:
+            code = exit.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.strip() and "Traceback" not in err
+
+
 class TestParser:
     def test_bad_int_list_rejected(self):
         parser = build_parser()
